@@ -30,8 +30,11 @@ race:
 # sharded campaign must reproduce the serial dataset bit for bit, and the
 # golden-trace replay path must reproduce the legacy dual-CPU oracle's
 # outcomes bit for bit (per-experiment and as a whole campaign dataset).
+# Both sides of that differential share the fault forcer, so its table
+# test runs here too, as does the check that a wrong static prediction
+# aborts both the local and the span executor.
 determinism:
-	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck' -count=1 \
+	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestForcerFaultModel|TestOracleMismatchAbortsEitherExecutor' -count=1 \
 		./internal/inject/ ./internal/lockstep/
 
 # The crash-safety contracts, explicitly: resuming a campaign from any
@@ -71,11 +74,11 @@ mode-determinism:
 # The pruning soundness gate: every (kernel, fault kind) pair's pruned
 # sites are differentially re-simulated on the replay oracle at a >= 1%
 # sample (seeded, so the sample is reproducible) and every predicted
-# outcome must match the simulation exactly. Run with the trace-codec
-# round-trip checks so a compaction change cannot silently shift what
-# the liveness analysis observes.
+# outcome must match the simulation exactly. Run with the trace
+# compaction check so a layout change cannot silently grow the golden
+# trace the liveness analysis is built on.
 prune-soundness:
-	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification|TestTraceCodecRoundTrip' -count=1 ./internal/lockstep/
+	$(GO) test -run 'TestPruneSoundness|TestPruneCoverageSubstantial|TestPruneSoftLastCycle|TestPruneRejectsOutOfRange|TestStreamClassification|TestTraceCompaction' -count=1 ./internal/lockstep/
 
 # The telemetry layer's own contract, under -race: exact totals from
 # NumCPU hammering goroutines, monotone histogram buckets, and
@@ -173,16 +176,14 @@ distributed-bench:
 	LOCKSTEP_DIST_BENCH=1 $(GO) test -run TestDistributedScalingBench -count=1 -v -timeout 20m ./internal/server/
 
 # Short fuzz passes over the campaign-log parser, the checkpoint decoder,
-# the compacted golden-trace codec, the distributed-campaign wire codec
-# (all four lease/span messages through one harness), and the three
-# lockstep-serve request decoders (predict bodies through the full
-# endpoint, campaign submissions and server-side training requests
-# through their validation layers).
+# the distributed-campaign wire codec (all four lease/span messages
+# through one harness), and the three lockstep-serve request decoders
+# (predict bodies through the full endpoint, campaign submissions and
+# server-side training requests through their validation layers).
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzReadCheckpoint -fuzztime=30s ./internal/inject/
 	$(GO) test -fuzz=FuzzLeaseDecode -fuzztime=30s ./internal/inject/
-	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=30s ./internal/lockstep/
 	$(GO) test -fuzz=FuzzModeParse -fuzztime=30s ./internal/lockstep/
 	$(GO) test -fuzz=FuzzPredictRequest -fuzztime=30s ./internal/server/
 	$(GO) test -fuzz=FuzzCampaignRequest -fuzztime=30s ./internal/server/

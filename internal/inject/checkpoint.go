@@ -28,9 +28,11 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"lockstep/internal/dataset"
 	"lockstep/internal/lockstep"
+	"lockstep/internal/telemetry"
 )
 
 // checkpointMagic is the first line of every checkpoint file; the trailing
@@ -185,6 +187,23 @@ func (c *Checkpoint) DoneCount() int {
 		n += s.Hi - s.Lo
 	}
 	return n
+}
+
+// restore copies every checkpointed record to its plan index in records,
+// marks the index in done, publishes the inject.experiments_restored
+// gauge and returns the number restored. The checkpoint must already be
+// validated against the plan records and done are sized for.
+func (c *Checkpoint) restore(records []dataset.Record, done []atomic.Bool) int {
+	ri := 0
+	for _, sp := range c.Done {
+		for i := sp.Lo; i < sp.Hi; i++ {
+			records[i] = c.Records[ri]
+			ri++
+			done[i].Store(true)
+		}
+	}
+	telemetry.Default.Gauge("inject.experiments_restored").Set(int64(ri))
+	return ri
 }
 
 // Validate checks the checkpoint against a campaign's config and plan

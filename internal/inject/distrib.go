@@ -7,10 +7,10 @@
 // hands out half-open [Lo, Hi) span *leases* to worker nodes; each worker
 // reconstructs the identical plan and goldens from the campaign's
 // schedule Fingerprint, executes its leased indices through the same
-// pruned-replay path inject.Run uses (SpanRunner), and streams the
-// completed records back. The coordinator merges records at their plan
-// index, so the final dataset is byte-identical to a single-machine run
-// at any worker count and any lease size.
+// executor inject.Run uses (SpanRunner), and streams the completed
+// records back. The coordinator merges records at their plan index, so
+// the final dataset is byte-identical to a single-machine run at any
+// worker count and any lease size.
 //
 // Failure handling is lease expiry + re-issue: a lease not committed
 // before its deadline returns to the free pool and is granted to the next
@@ -235,17 +235,8 @@ func NewCoordinator(cfg Config, dc DistConfig) (*Coordinator, error) {
 		if err := ck.Validate(cfg, total); err != nil {
 			return nil, err
 		}
-		ri := 0
-		for _, sp := range ck.Done {
-			for i := sp.Lo; i < sp.Hi; i++ {
-				c.records[i] = ck.Records[ri]
-				ri++
-				c.done[i].Store(true)
-			}
-		}
-		c.doneN = ck.DoneCount()
+		c.doneN = ck.restore(c.records, c.done)
 		c.restored = c.doneN
-		telemetry.Default.Gauge("inject.experiments_restored").Set(int64(c.restored))
 	}
 	// The free list is the complement of the restored spans, in order.
 	lo := 0
@@ -722,17 +713,12 @@ type SpanStats struct {
 
 // SpanRunner is the worker-node side of a distributed campaign: the plan
 // reconstructed from the coordinator's fingerprint, lazily built goldens,
-// and per-executor replay scratch reused across spans. One runner serves
-// one campaign; Run is not safe for concurrent use (a worker node runs
-// its leased spans serially and parallelizes inside the span).
+// and an executor whose per-worker replay scratch is reused across spans.
+// One runner serves one campaign; Run is not safe for concurrent use (a
+// worker node runs its leased spans serially and parallelizes inside the
+// span).
 type SpanRunner struct {
-	cfg       Config
-	plan      []Experiment
-	window    int
-	snapEvery int
-	goldens   map[string]*lockstep.Golden
-	execs     []*worker
-	tel       *campaignTelemetry
+	x *executor
 }
 
 // NewSpanRunner builds the runner for cfg. Config.Workers sets the
@@ -747,154 +733,51 @@ func NewSpanRunner(cfg Config) (*SpanRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	window := cfg.StopLatency
-	if window <= 0 {
-		window = lockstep.StopLatency
-	}
-	snapEvery := cfg.RunCycles / 16
-	if snapEvery < 1 {
-		snapEvery = 1
-	}
-	r := &SpanRunner{
-		cfg:       cfg,
-		plan:      plan,
-		window:    window,
-		snapEvery: snapEvery,
-		goldens:   map[string]*lockstep.Golden{},
-		execs:     make([]*worker, cfg.Workers),
-		tel:       newCampaignTelemetry(cfg),
-	}
-	return r, nil
+	return &SpanRunner{x: newExecutor(cfg, plan, map[string]*lockstep.Golden{})}, nil
 }
 
 // Total returns the plan length (must equal the coordinator's).
-func (r *SpanRunner) Total() int { return len(r.plan) }
+func (r *SpanRunner) Total() int { return len(r.x.plan) }
 
 // Digest returns the runner's schedule digest, for join-time auth.
-func (r *SpanRunner) Digest() string { return r.cfg.fingerprint().Digest() }
-
-// golden returns (building on first use) the kernel's golden run. Leases
-// are cut at kernel-block boundaries and granted with block affinity, so
-// a worker typically builds one golden and reuses it across many spans.
-func (r *SpanRunner) golden(name string) (*lockstep.Golden, error) {
-	if g := r.goldens[name]; g != nil {
-		return g, nil
-	}
-	g, err := lockstep.NewGolden(workload.ByName(name), r.cfg.RunCycles, r.snapEvery)
-	if err != nil {
-		return nil, err
-	}
-	r.goldens[name] = g
-	var traceBytes int64
-	for _, g := range r.goldens {
-		traceBytes += g.TraceBytes()
-	}
-	telemetry.Default.Gauge("inject.golden_trace_bytes").Set(traceBytes)
-	return g, nil
-}
+func (r *SpanRunner) Digest() string { return r.x.cfg.fingerprint().Digest() }
 
 // Run executes plan indices [sp.Lo, sp.Hi) and returns their records in
 // plan order. The records are byte-identical to what a single-machine
-// inject.Run would put at those indices: the plan, pruning decisions,
-// oracle sampling and record rendering all go through the same
-// deterministic functions, keyed only by the campaign seed and the
-// experiment coordinates.
+// inject.Run would put at those indices: both run the same executor, and
+// its pruning decisions, oracle sampling and record rendering depend only
+// on the campaign seed, the experiment coordinates and the golden run.
+//
+// Goldens are built on first use. Leases are cut at kernel-block
+// boundaries and granted with block affinity, so a worker typically
+// builds one golden and reuses it across many spans.
 func (r *SpanRunner) Run(sp Span) ([]dataset.Record, SpanStats, error) {
-	var st SpanStats
-	if sp.Lo < 0 || sp.Lo >= sp.Hi || sp.Hi > len(r.plan) {
-		return nil, st, fmt.Errorf("inject: span [%d,%d) outside plan of %d", sp.Lo, sp.Hi, len(r.plan))
+	plan := r.x.plan
+	if sp.Lo < 0 || sp.Lo >= sp.Hi || sp.Hi > len(plan) {
+		return nil, SpanStats{}, fmt.Errorf("inject: span [%d,%d) outside plan of %d", sp.Lo, sp.Hi, len(plan))
 	}
+	// The plan is kernel-major, so a span's kernels are consecutive runs.
+	var kernels []string
+	pending := make([]int, 0, sp.Hi-sp.Lo)
 	for i := sp.Lo; i < sp.Hi; i++ {
-		if _, err := r.golden(r.plan[i].Kernel); err != nil {
-			return nil, st, err
+		if k := plan[i].Kernel; len(kernels) == 0 || kernels[len(kernels)-1] != k {
+			kernels = append(kernels, k)
 		}
+		pending = append(pending, i)
+	}
+	if err := buildGoldens(r.x.cfg, kernels, r.x.goldens); err != nil {
+		return nil, SpanStats{}, err
 	}
 	records := make([]dataset.Record, sp.Hi-sp.Lo)
-
-	// Static pruning + oracle sampling, exactly as in RunStats: the
-	// decisions depend only on (seed, experiment, golden), so a span
-	// resolves identically here and on a single machine.
-	pending := make([]int, 0, sp.Hi-sp.Lo)
-	var oracleExpect map[int]lockstep.Outcome
-	if !r.cfg.NoPrune {
-		oracleExpect = make(map[int]lockstep.Outcome)
-		for i := sp.Lo; i < sp.Hi; i++ {
-			e := r.plan[i]
-			out, ok := r.goldens[e.Kernel].PruneMode(lockstep.Injection{Flop: e.Flop, Kind: e.Kind, Cycle: e.Cycle}, r.cfg.Mode)
-			if !ok {
-				pending = append(pending, i)
-				continue
-			}
-			if oracleSampled(r.cfg.Seed, e) {
-				oracleExpect[i] = out
-				st.OracleChecked++
-				pending = append(pending, i)
-				continue
-			}
-			records[i-sp.Lo] = recordFor(e, out, r.cfg.Mode)
-			r.tel.record(e, out)
-			st.Pruned++
-		}
-	} else {
-		for i := sp.Lo; i < sp.Hi; i++ {
-			pending = append(pending, i)
-		}
-	}
-
-	workers := r.cfg.Workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	abort := make(chan struct{})
-	var oracleOnce sync.Once
-	var oracleErr error
-	next := make(chan int)
-	var failures atomic.Int64
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		if r.execs[wi] == nil {
-			r.execs[wi] = &worker{cfg: r.cfg, window: r.window}
-		}
-		w := r.execs[wi]
-		w.goldens = r.goldens
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				e := r.plan[idx]
-				out := w.run(e)
-				if out.Failed {
-					failures.Add(1)
-				}
-				if expect, ok := oracleExpect[idx]; ok && !out.Failed && out != expect {
-					oracleOnce.Do(func() {
-						oracleErr = fmt.Errorf(
-							"inject: pruning oracle mismatch: %s %s at flop %d cycle %d predicted %+v, simulated %+v",
-							e.Kernel, e.Kind, e.Flop, e.Cycle, expect, out)
-						close(abort)
-					})
-				}
-				records[idx-sp.Lo] = recordFor(e, out, r.cfg.Mode)
-				r.tel.record(e, out)
-			}
-		}()
-	}
-feed:
-	for _, idx := range pending {
-		select {
-		case next <- idx:
-		case <-abort:
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	st.Failures = int(failures.Load())
-	if oracleErr != nil {
-		return nil, st, oracleErr
+	xs, err := r.x.run(pending, func(idx int, rec dataset.Record) {
+		records[idx-sp.Lo] = rec
+	})
+	st := SpanStats{Pruned: xs.pruned, OracleChecked: xs.oracleChecked, Failures: xs.failures}
+	switch {
+	case err != nil:
+		return nil, st, err
+	case xs.canceled:
+		return nil, st, ErrCanceled
 	}
 	return records, st, nil
 }

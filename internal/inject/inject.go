@@ -169,6 +169,10 @@ type Config struct {
 	// It exists so tests can inject panics and stalls into the worker pool
 	// to exercise the containment layer.
 	testHook func(Experiment)
+	// testPredict, when set, rewrites every static pruning prediction
+	// before the runtime oracle or the dataset sees it, so tests can plant
+	// an unsound prediction and watch the oracle abort the campaign.
+	testPredict func(Experiment, lockstep.Outcome) lockstep.Outcome
 }
 
 // DefaultConfig is a laptop-scale campaign: full flop coverage, all three
@@ -328,8 +332,8 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 	records := make([]dataset.Record, len(plan))
 	// done[i] is set with release semantics once records[i] is final; the
 	// checkpointer's acquire loads make its record snapshots consistent.
-	// Only allocated when checkpointing/resume is on: the plain campaign
-	// hot path stays exactly as before.
+	// Only allocated when checkpointing/resume is on, so the plain
+	// campaign hot path never touches it.
 	var done []atomic.Bool
 	if cfg.CheckpointPath != "" {
 		done = make([]atomic.Bool, len(plan))
@@ -343,16 +347,7 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 		if err := ck.validate(cfg, len(plan)); err != nil {
 			return nil, Stats{}, err
 		}
-		ri := 0
-		for _, sp := range ck.Done {
-			for i := sp.Lo; i < sp.Hi; i++ {
-				records[i] = ck.Records[ri]
-				ri++
-				done[i].Store(true)
-			}
-		}
-		restored = ck.DoneCount()
-		telemetry.Default.Gauge("inject.experiments_restored").Set(int64(restored))
+		restored = ck.restore(records, done)
 	}
 
 	// pending is this run's work list: every plan index the resume
@@ -374,17 +369,10 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 			kernels = append(kernels, name)
 		}
 	}
-	goldens, err := buildGoldens(cfg, kernels)
-	if err != nil {
+	goldens := make(map[string]*lockstep.Golden, len(kernels))
+	if err := buildGoldens(cfg, kernels, goldens); err != nil {
 		return nil, Stats{}, err
 	}
-
-	window := cfg.StopLatency
-	if window <= 0 {
-		window = lockstep.StopLatency
-	}
-
-	tel := newCampaignTelemetry(cfg)
 
 	var ckp *checkpointer
 	if cfg.CheckpointPath != "" {
@@ -396,147 +384,42 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 	// 1..total over everything this run resolves.
 	total := len(pending)
 	var (
-		prog     int
-		progMu   sync.Mutex
-		progress = func() {
-			if cfg.Progress == nil {
-				return
-			}
+		prog   int
+		progMu sync.Mutex
+	)
+	x := newExecutor(cfg, plan, goldens)
+	xs, oracleErr := x.run(pending, func(idx int, rec dataset.Record) {
+		records[idx] = rec
+		if done != nil {
+			done[idx].Store(true)
+		}
+		if ckp != nil {
+			ckp.completed()
+		}
+		if cfg.Progress != nil {
 			progMu.Lock()
 			prog++
 			cfg.Progress(prog, total)
 			progMu.Unlock()
 		}
-	)
-
-	// Static fault-equivalence pruning: record every pending experiment
-	// whose outcome the golden run's liveness analysis proves, without
-	// dispatching it. A deterministic seeded sample of the prunable sites
-	// stays in the work list as the runtime differential oracle: workers
-	// simulate those normally and the campaign hard-fails on any
-	// prediction mismatch (see oracleExpect below). The pass is serial
-	// and derived only from plan + goldens, so datasets stay byte-
-	// identical across worker counts, resumes, and pruning on/off.
-	var oracleExpect map[int]lockstep.Outcome
-	var prunedN, oracleN int64
-	if !cfg.NoPrune {
-		oracleExpect = make(map[int]lockstep.Outcome)
-		remaining := pending[:0]
-		for _, idx := range pending {
-			e := plan[idx]
-			out, ok := goldens[e.Kernel].PruneMode(lockstep.Injection{Flop: e.Flop, Kind: e.Kind, Cycle: e.Cycle}, cfg.Mode)
-			if !ok {
-				remaining = append(remaining, idx)
-				continue
-			}
-			if oracleSampled(cfg.Seed, e) {
-				oracleExpect[idx] = out
-				oracleN++
-				remaining = append(remaining, idx)
-				continue
-			}
-			records[idx] = recordFor(e, out, cfg.Mode)
-			tel.record(e, out)
-			prunedN++
-			if done != nil {
-				done[idx].Store(true)
-			}
-			if ckp != nil {
-				ckp.completed()
-			}
-			progress()
-		}
-		pending = remaining
-		if prunedN > 0 {
-			telemetry.Default.Counter("inject.pruned").Add(prunedN)
-		}
-		if oracleN > 0 {
-			telemetry.Default.Counter("inject.pruned_oracle_checked").Add(oracleN)
-		}
+	})
+	if xs.pruned > 0 {
+		telemetry.Default.Counter("inject.pruned").Add(int64(xs.pruned))
 	}
-
-	workers := cfg.Workers
-	if workers > len(pending) {
-		workers = len(pending)
+	if xs.oracleChecked > 0 {
+		telemetry.Default.Counter("inject.pruned_oracle_checked").Add(int64(xs.oracleChecked))
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// abort stops dispatch when the runtime oracle catches a static
-	// prediction that the simulator contradicts; the first mismatch wins.
-	abort := make(chan struct{})
-	var oracleOnce sync.Once
-	var oracleErr error
-
-	next := make(chan int)
-	var failures, executed atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker containment wrapper around the replay scratch:
-			// reused across every experiment this worker runs, so the
-			// steady-state hot path allocates nothing and repositioning
-			// between experiments on the same kernel is an incremental
-			// image seek, not a full RAM copy.
-			w := &worker{cfg: cfg, goldens: goldens, window: window}
-			for idx := range next {
-				e := plan[idx]
-				out := w.run(e)
-				if out.Failed {
-					failures.Add(1)
-				}
-				if expect, ok := oracleExpect[idx]; ok && !out.Failed && out != expect {
-					oracleOnce.Do(func() {
-						oracleErr = fmt.Errorf(
-							"inject: pruning oracle mismatch: %s %s at flop %d (%s) cycle %d predicted %+v, simulated %+v",
-							e.Kernel, e.Kind, e.Flop, cpu.FlopName(e.Flop), e.Cycle, expect, out)
-						close(abort)
-					})
-				}
-				records[idx] = recordFor(e, out, cfg.Mode)
-				tel.record(e, out)
-				executed.Add(1)
-				if done != nil {
-					done[idx].Store(true)
-				}
-				if ckp != nil {
-					ckp.completed()
-				}
-				progress()
-			}
-		}()
-	}
-	// Dispatch the pending plan indices, stopping early when Cancel
-	// fires (receiving from a nil Cancel blocks forever, so the select
-	// degenerates to a plain send for the common un-cancellable case).
-	canceled := false
-feed:
-	for _, idx := range pending {
-		select {
-		case next <- idx:
-		case <-cfg.Cancel:
-			canceled = true
-			break feed
-		case <-abort:
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
 
 	st := Stats{
 		Experiments:   len(plan),
 		Restored:      restored,
-		Pruned:        int(prunedN),
-		OracleChecked: int(oracleN),
-		Failures:      int(failures.Load()),
-		Workers:       workers,
+		Pruned:        xs.pruned,
+		OracleChecked: xs.oracleChecked,
+		Failures:      xs.failures,
+		Workers:       xs.workers,
 	}
-	if canceled {
-		st.Experiments = restored + int(prunedN) + int(executed.Load())
+	if xs.canceled {
+		st.Experiments = restored + xs.pruned + xs.executed
 	}
 	if ckp != nil {
 		n, err := ckp.stop()
@@ -549,11 +432,11 @@ feed:
 	if secs := st.Elapsed.Seconds(); secs > 0 {
 		st.PerSec = float64(st.Executed()) / secs
 	}
-	tel.finish(st)
+	x.tel.finish(st)
 	if oracleErr != nil {
 		return nil, st, oracleErr
 	}
-	if canceled {
+	if xs.canceled {
 		return nil, st, ErrCanceled
 	}
 	return &dataset.Dataset{Records: records}, st, nil
@@ -579,6 +462,160 @@ func recordFor(e Experiment, out lockstep.Outcome, mode lockstep.Mode) dataset.R
 	}
 }
 
+// executor is the one campaign pipeline: static pruning, the runtime
+// differential oracle, the worker pool with cancellation, and the
+// oracle-mismatch abort, over a list of plan indices. RunStats feeds it
+// the pending plan indices; SpanRunner feeds it one leased span at a time
+// and keeps the executor, and with it the per-worker replay scratch,
+// across spans.
+type executor struct {
+	cfg     Config
+	plan    []Experiment
+	goldens map[string]*lockstep.Golden
+	window  int
+	tel     *campaignTelemetry
+	// workers holds one containment wrapper around replay scratch per
+	// executor goroutine, created on first use and reused after: the
+	// steady-state hot path allocates nothing, and repositioning between
+	// experiments on the same kernel is an incremental image seek, not a
+	// full RAM copy.
+	workers []*worker
+}
+
+func newExecutor(cfg Config, plan []Experiment, goldens map[string]*lockstep.Golden) *executor {
+	window := cfg.StopLatency
+	if window <= 0 {
+		window = lockstep.StopLatency
+	}
+	return &executor{
+		cfg:     cfg,
+		plan:    plan,
+		goldens: goldens,
+		window:  window,
+		tel:     newCampaignTelemetry(cfg),
+		workers: make([]*worker, cfg.Workers),
+	}
+}
+
+// execStats reports one executor run.
+type execStats struct {
+	pruned        int // recorded from the static prediction alone
+	oracleChecked int // pruned sites simulated anyway by the runtime oracle
+	executed      int // experiments simulated
+	failures      int // simulated experiments recorded as Failed
+	workers       int // executor goroutines used
+	canceled      bool
+}
+
+// run resolves every plan index in pending, reordering the slice in
+// place, and hands each experiment's record to put once it is final. put
+// is called concurrently from the executor goroutines. Every goldens
+// entry the indices need must already be built.
+//
+// The prune pass records every experiment whose outcome the golden run's
+// liveness analysis proves, without dispatching it. A deterministic
+// seeded sample of the prunable sites stays in the work list as the
+// runtime differential oracle: the workers simulate those normally, and
+// run stops dispatching and returns an error on the first simulated
+// outcome that contradicts its prediction. The pass is serial and
+// derived only from plan and goldens, so the records are identical
+// across worker counts, resumes, span cuts, and pruning on or off.
+//
+// Dispatch stops early when cfg.Cancel fires; the experiments already
+// dispatched still finish and reach put.
+func (x *executor) run(pending []int, put func(idx int, rec dataset.Record)) (execStats, error) {
+	var st execStats
+	resolve := func(idx int, out lockstep.Outcome) {
+		e := x.plan[idx]
+		x.tel.record(e, out)
+		put(idx, recordFor(e, out, x.cfg.Mode))
+	}
+
+	var oracleExpect map[int]lockstep.Outcome
+	if !x.cfg.NoPrune {
+		oracleExpect = make(map[int]lockstep.Outcome)
+		remaining := pending[:0]
+		for _, idx := range pending {
+			e := x.plan[idx]
+			out, ok := x.goldens[e.Kernel].PruneMode(lockstep.Injection{Flop: e.Flop, Kind: e.Kind, Cycle: e.Cycle}, x.cfg.Mode)
+			if !ok {
+				remaining = append(remaining, idx)
+				continue
+			}
+			if x.cfg.testPredict != nil {
+				out = x.cfg.testPredict(e, out)
+			}
+			if oracleSampled(x.cfg.Seed, e) {
+				oracleExpect[idx] = out
+				st.oracleChecked++
+				remaining = append(remaining, idx)
+				continue
+			}
+			resolve(idx, out)
+			st.pruned++
+		}
+		pending = remaining
+	}
+
+	st.workers = min(x.cfg.Workers, len(pending))
+	if st.workers < 1 {
+		st.workers = 1
+	}
+	// abort stops dispatch when the runtime oracle catches a static
+	// prediction that the simulator contradicts; the first mismatch wins.
+	abort := make(chan struct{})
+	var abortOnce sync.Once
+	var oracleErr error
+	next := make(chan int)
+	var failures, executed atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < st.workers; i++ {
+		if x.workers[i] == nil {
+			x.workers[i] = &worker{cfg: x.cfg, goldens: x.goldens, window: x.window}
+		}
+		w := x.workers[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for idx := range next {
+				e := x.plan[idx]
+				out := w.run(e)
+				if out.Failed {
+					failures.Add(1)
+				}
+				if expect, ok := oracleExpect[idx]; ok && !out.Failed && out != expect {
+					abortOnce.Do(func() {
+						oracleErr = fmt.Errorf(
+							"inject: pruning oracle mismatch: %s %s at flop %d (%s) cycle %d predicted %+v, simulated %+v",
+							e.Kernel, e.Kind, e.Flop, cpu.FlopName(e.Flop), e.Cycle, expect, out)
+						close(abort)
+					})
+				}
+				resolve(idx, out)
+				executed.Add(1)
+			}
+		}()
+	}
+	// Receiving from a nil Cancel blocks forever, so the select
+	// degenerates to a plain send for the common un-cancellable case.
+feed:
+	for _, idx := range pending {
+		select {
+		case next <- idx:
+		case <-x.cfg.Cancel:
+			st.canceled = true
+			break feed
+		case <-abort:
+			break feed
+		}
+	}
+	close(next)
+	wg.Wait()
+	st.executed = int(executed.Load())
+	st.failures = int(failures.Load())
+	return st, oracleErr
+}
+
 // oracleSampled deterministically selects ~1/64 of prunable sites for the
 // runtime differential oracle. The decision hashes only the campaign seed
 // and the experiment coordinates — never worker count or iteration order —
@@ -595,7 +632,8 @@ func oracleSampled(seed int64, e Experiment) bool {
 
 // worker runs experiments under the campaign's fault-containment policy:
 // panic isolation with bounded retry, plus the optional per-experiment
-// watchdog budget. One worker is owned by exactly one executor goroutine.
+// watchdog budget. One worker is owned by exactly one executor goroutine
+// at a time.
 type worker struct {
 	cfg     Config
 	goldens map[string]*lockstep.Golden
@@ -854,23 +892,29 @@ func (t *campaignTelemetry) finish(st Stats) {
 	telemetry.Default.Gauge("inject.per_sec").Set(int64(st.PerSec))
 }
 
-// buildGoldens records one fault-free golden run per kernel that still
-// has pending experiments, in parallel (each golden is an independent
-// simulation). The returned goldens are immutable and shared read-only by
-// all experiment workers.
-func buildGoldens(cfg Config, kernels []string) (map[string]*lockstep.Golden, error) {
+// buildGoldens records the fault-free golden run of every named kernel
+// not yet in goldens, in parallel (each golden is an independent
+// simulation), and publishes the total trace footprint of goldens as the
+// inject.golden_trace_bytes gauge. Goldens are immutable and shared
+// read-only by all experiment workers.
+func buildGoldens(cfg Config, kernels []string, goldens map[string]*lockstep.Golden) error {
 	snapEvery := cfg.RunCycles / 16
 	if snapEvery < 1 {
 		snapEvery = 1
 	}
-	goldens := make(map[string]*lockstep.Golden, len(kernels))
-	errs := make([]error, len(kernels))
+	var todo []string
+	for _, name := range kernels {
+		if goldens[name] == nil {
+			todo = append(todo, name)
+		}
+	}
+	errs := make([]error, len(todo))
 	var (
 		mu sync.Mutex
 		wg sync.WaitGroup
 	)
 	sem := make(chan struct{}, cfg.Workers)
-	for i, name := range kernels {
+	for i, name := range todo {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
@@ -889,7 +933,7 @@ func buildGoldens(cfg Config, kernels []string) (map[string]*lockstep.Golden, er
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	var traceBytes int64
@@ -897,5 +941,5 @@ func buildGoldens(cfg Config, kernels []string) (map[string]*lockstep.Golden, er
 		traceBytes += g.TraceBytes()
 	}
 	telemetry.Default.Gauge("inject.golden_trace_bytes").Set(traceBytes)
-	return goldens, nil
+	return nil
 }

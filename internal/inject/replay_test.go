@@ -2,9 +2,14 @@ package inject
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
+	"lockstep/internal/cpu"
+	"lockstep/internal/lockstep"
 	"lockstep/internal/telemetry"
+	"lockstep/internal/workload"
 )
 
 // TestLegacyOracleDatasetIdentical is the campaign-level differential
@@ -105,4 +110,71 @@ func TestReplayTelemetry(t *testing.T) {
 	if got := oracleAfter - oracleBefore; got != int64(st.OracleChecked) {
 		t.Fatalf("inject.pruned_oracle_checked grew by %d, Stats.OracleChecked = %d", got, st.OracleChecked)
 	}
+}
+
+// TestOracleMismatchAbortsEitherExecutor plants an unsound static
+// prediction at one oracle-sampled prunable site and requires both the
+// single-machine campaign (RunStats) and a worker node's span execution
+// (SpanRunner.Run) to refuse it with an error naming the kernel, the
+// fault kind, the flop by index and name, and the cycle.
+func TestOracleMismatchAbortsEitherExecutor(t *testing.T) {
+	cfg := ckConfig()
+	cfg.Workers = 2
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cfg.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := lockstep.NewGolden(workload.ByName(cfg.Kernels[0]), cfg.RunCycles, cfg.RunCycles/16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := -1
+	for i, e := range plan {
+		_, ok := g.PruneMode(lockstep.Injection{Flop: e.Flop, Kind: e.Kind, Cycle: e.Cycle}, cfg.Mode)
+		if ok && oracleSampled(cfg.Seed, e) {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no oracle-sampled prunable site in the plan; pick a larger config")
+	}
+	e := plan[victim]
+	// Pruning only ever predicts Converged or Masked, so a detection
+	// always contradicts the simulation.
+	cfg.testPredict = func(x Experiment, out lockstep.Outcome) lockstep.Outcome {
+		if x == e {
+			return lockstep.Outcome{Detected: true, DetectCycle: x.Cycle, DSR: 1}
+		}
+		return out
+	}
+	wants := []string{
+		"oracle mismatch", e.Kernel, e.Kind.String(),
+		fmt.Sprintf("flop %d (%s)", e.Flop, cpu.FlopName(e.Flop)),
+		fmt.Sprintf("cycle %d", e.Cycle),
+	}
+	check := func(path string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: planted mismatch at %+v did not abort", path, e)
+		}
+		for _, w := range wants {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", path, err, w)
+			}
+		}
+	}
+
+	_, _, err = RunStats(cfg)
+	check("RunStats", err)
+
+	r, err := NewSpanRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = r.Run(Span{Lo: 0, Hi: len(plan)})
+	check("SpanRunner.Run", err)
 }

@@ -1,7 +1,6 @@
 // Wire codec for the distributed-campaign protocol. Lease requests and
 // replies, span submissions and their acks travel between coordinator and
-// worker nodes as small versioned binary messages in the golden-trace
-// codec's style:
+// worker nodes as small versioned binary messages:
 //
 //	magic "lkdw" | uvarint wireVersion | kind byte
 //	<kind-specific body>

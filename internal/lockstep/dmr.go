@@ -28,8 +28,8 @@ type DMR struct {
 	entry   uint32
 	kernel  *workload.Kernel
 	fault   Injection
+	forcer  forcer
 	faultOn bool
-	softHot bool
 }
 
 // NewDMR builds a dual lockstep system running the kernel.
@@ -50,45 +50,39 @@ func NewDMR(k *workload.Kernel) (*DMR, error) {
 // (absolute cycle count) onward.
 func (d *DMR) Arm(inj Injection) {
 	d.fault = inj
+	d.forcer = newForcer(inj)
 	d.faultOn = true
-	d.softHot = false
 }
 
 // Disarm cancels fault forcing (e.g., after a repaired transient).
 func (d *DMR) Disarm() {
 	d.faultOn = false
-	d.softHot = false
 }
 
 // Step advances both CPUs one cycle, applies any armed fault, and feeds
 // the checker. It returns true on the cycle the checker latches an error.
 func (d *DMR) Step() bool {
-	d.Cycle++
-	d.Main.StepCycle()
-	d.Red.StepCycle()
-	if d.faultOn && d.Cycle >= d.fault.Cycle {
-		st := &d.Red.State
-		switch d.fault.Kind {
-		case SoftFlip:
-			switch {
-			case d.Cycle == d.fault.Cycle:
-				cpu.FlipBit(st, d.fault.Flop)
-				d.softHot = true
-			case d.softHot:
-				// The transient passes; the flop recovers to the
-				// fault-free value.
-				cpu.ForceBit(st, d.fault.Flop, cpu.GetBit(&d.Main.State, d.fault.Flop))
-				d.softHot = false
-			}
-		case Stuck0:
-			cpu.ForceBit(st, d.fault.Flop, false)
-		case Stuck1:
-			cpu.ForceBit(st, d.fault.Flop, true)
-		}
-	}
+	d.advance()
 	om := d.Main.State.Outputs()
 	or := d.Red.State.Outputs()
 	return d.Chk.Compare(&om, &or)
+}
+
+// advance steps both CPUs one cycle and applies any armed fault to the
+// redundant CPU, recovering a soft flip to the main CPU's value.
+func (d *DMR) advance() {
+	d.Cycle++
+	d.Main.StepCycle()
+	d.Red.StepCycle()
+	if !d.faultOn {
+		return
+	}
+	switch {
+	case d.Cycle == d.fault.Cycle:
+		d.forcer.inject(&d.Red.State)
+	case d.Cycle > d.fault.Cycle:
+		d.forcer.edge(&d.Red.State, cpu.GetBit(&d.Main.State, d.fault.Flop))
+	}
 }
 
 // RunToError steps until the checker latches an error or limit cycles
@@ -103,25 +97,7 @@ func (d *DMR) RunToError(limit int) (dsr uint64, detectCycle int, ok bool) {
 			detectCycle = d.Cycle
 			dsr = d.Chk.DSR
 			for w := 1; w < StopLatency; w++ {
-				d.Cycle++
-				d.Main.StepCycle()
-				d.Red.StepCycle()
-				if d.faultOn {
-					switch d.fault.Kind {
-					case SoftFlip:
-						if d.softHot {
-							// The transient passes mid-window, exactly as
-							// in Step and the Inject harness.
-							cpu.ForceBit(&d.Red.State, d.fault.Flop,
-								cpu.GetBit(&d.Main.State, d.fault.Flop))
-							d.softHot = false
-						}
-					case Stuck0:
-						cpu.ForceBit(&d.Red.State, d.fault.Flop, false)
-					case Stuck1:
-						cpu.ForceBit(&d.Red.State, d.fault.Flop, true)
-					}
-				}
+				d.advance()
 				om := d.Main.State.Outputs()
 				or := d.Red.State.Outputs()
 				dsr |= cpu.Diverge(&om, &or)
@@ -150,6 +126,6 @@ func (d *DMR) Restart() error {
 	d.Main.State.Reset(d.entry)
 	d.Red.State.Reset(d.entry)
 	d.Chk.Reset()
-	d.softHot = false
+	d.forcer = newForcer(d.fault) // a pending transient does not survive the reset
 	return nil
 }

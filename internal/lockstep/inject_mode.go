@@ -63,21 +63,6 @@ func (r *Replayer) InjectMode(g *Golden, inj Injection, mode Mode, window int) O
 	}
 }
 
-// InjectModeW is Golden-level InjectMode with pooled scratch, the
-// mode-generalized InjectW.
-func (g *Golden) InjectModeW(inj Injection, mode Mode, window int) Outcome {
-	r := replayerPool.Get().(*Replayer)
-	out := r.InjectMode(g, inj, mode, window)
-	replayerPool.Put(r)
-	return out
-}
-
-// InjectMode runs one experiment under the given mode with the default
-// stop window.
-func (g *Golden) InjectMode(inj Injection, mode Mode) Outcome {
-	return g.InjectModeW(inj, mode, StopLatency)
-}
-
 // InjectLegacyMode is the full-simulation differential oracle for every
 // mode: dual live CPUs for DCLS and slip:N, triple live CPUs with a real
 // majority voter for TMR. It shares no mode-specialization logic with the
@@ -138,7 +123,10 @@ func (g *Golden) tmrRecheck(e int, inj Injection) bool {
 	}
 	recoverTMR(&main.State)
 	red := main.Fork(mem.Monitor{Sys: sys})
-	forceStuck(&red.State, inj)
+	// The transient is over (soft faults never reach here): the forcer
+	// only re-forces a stuck-at.
+	f := newForcer(inj)
+	f.edge(&red.State, false)
 	for i := 0; i < TMRRecheckCycles; i++ {
 		om := main.State.Outputs()
 		or := red.State.Outputs()
@@ -147,7 +135,7 @@ func (g *Golden) tmrRecheck(e int, inj Injection) bool {
 		}
 		main.StepCycle()
 		red.StepCycle()
-		forceStuck(&red.State, inj)
+		f.edge(&red.State, false)
 	}
 	return true
 }
@@ -161,21 +149,10 @@ func recoverTMR(st *cpu.State) {
 	st.Regs = regs
 }
 
-// forceStuck re-forces a stuck-at fault; soft faults are left alone (the
-// transient has passed by any recovery point).
-func forceStuck(st *cpu.State, inj Injection) {
-	switch inj.Kind {
-	case Stuck0:
-		cpu.ForceBit(st, inj.Flop, false)
-	case Stuck1:
-		cpu.ForceBit(st, inj.Flop, true)
-	}
-}
-
-// vote3 runs the majority voter over three output vectors, with the same
-// semantics as TMR.Step: when exactly one CPU disagrees its divergence
-// map against the majority is the DSR; when all three disagree the maps
-// are OR-ed and no erring CPU is named.
+// vote3 is the majority voter TMR.Step and the TMR oracle vote through:
+// when exactly one CPU disagrees its divergence map against the majority
+// is the DSR; when all three disagree the maps are OR-ed and no erring
+// CPU is named.
 func vote3(o0, o1, o2 *cpu.OutVec) VoteResult {
 	d01 := cpu.Diverge(o0, o1)
 	d02 := cpu.Diverge(o0, o2)
@@ -213,25 +190,13 @@ func (g *Golden) InjectTMRLegacyW(inj Injection, window int) Outcome {
 	}
 	mon := main.Fork(mem.Monitor{Sys: sys})
 	red := main.Fork(mem.Monitor{Sys: sys})
-	switch inj.Kind {
-	case SoftFlip:
-		cpu.FlipBit(&red.State, inj.Flop)
-	case Stuck0:
-		cpu.ForceBit(&red.State, inj.Flop, false)
-	case Stuck1:
-		cpu.ForceBit(&red.State, inj.Flop, true)
-	}
-
-	softArmed := inj.Kind == SoftFlip
+	f := newForcer(inj)
+	f.inject(&red.State)
 	stepAll := func() {
 		main.StepCycle()
 		mon.StepCycle()
 		red.StepCycle()
-		if softArmed {
-			cpu.ForceBit(&red.State, inj.Flop, cpu.GetBit(&main.State, inj.Flop))
-			softArmed = false
-		}
-		forceStuck(&red.State, inj)
+		f.edge(&red.State, cpu.GetBit(&main.State, inj.Flop))
 	}
 	for ; cyc < g.TotalCycles; cyc++ {
 		o0 := main.State.Outputs()
@@ -258,8 +223,10 @@ func (g *Golden) InjectTMRLegacyW(inj Injection, window int) Outcome {
 				c.State.Reset(pc)
 				c.State.Regs = regs
 			}
-			softArmed = false
-			forceStuck(&red.State, inj)
+			// The recovered cores are bit-identical, so a soft flip still
+			// pending (detection on the injection cycle) restores to the
+			// value red already holds; a stuck-at is re-forced.
+			f.edge(&red.State, cpu.GetBit(&main.State, inj.Flop))
 			conv := true
 			for i := 0; i < TMRRecheckCycles; i++ {
 				o0 = main.State.Outputs()
@@ -269,14 +236,11 @@ func (g *Golden) InjectTMRLegacyW(inj Injection, window int) Outcome {
 					conv = false
 					break
 				}
-				main.StepCycle()
-				mon.StepCycle()
-				red.StepCycle()
-				forceStuck(&red.State, inj)
+				stepAll()
 			}
 			return Outcome{Detected: true, DetectCycle: detect, DSR: dsr, Converged: conv}
 		}
-		if inj.Kind == SoftFlip && !softArmed && red.State == main.State {
+		if f.passed() && red.State == main.State {
 			return Outcome{Converged: true}
 		}
 		stepAll()

@@ -316,7 +316,7 @@ func (g *Golden) restore(cycle int) (*mem.System, *cpu.CPU, int) {
 // its outputs are compared against the precomputed golden trace. The run
 // ends at detection, at state re-convergence (soft faults), or at the
 // golden run's horizon. The DSR accumulates for the default StopLatency
-// window. Outcomes are bit-identical to the dual-CPU InjectLegacy oracle.
+// window. Outcomes are bit-identical to the dual-CPU InjectLegacyW oracle.
 func (g *Golden) Inject(inj Injection) Outcome {
 	return g.InjectW(inj, StopLatency)
 }
@@ -339,16 +339,11 @@ func (g *Golden) InjectW(inj Injection, window int) Outcome {
 // across ad-hoc Golden.Inject/InjectW calls.
 var replayerPool = sync.Pool{New: func() any { return NewReplayer() }}
 
-// InjectLegacy is the original dual-CPU experiment: the golden (main)
+// InjectLegacyW is the original dual-CPU experiment: the golden (main)
 // CPU is re-simulated to drive the memory system while the redundant CPU
 // consumes the same inputs with fault forcing applied. It is twice the
 // simulation work of the replay path and is kept as the differential-
 // testing oracle (and behind the campaign drivers' -legacy-inject flag).
-func (g *Golden) InjectLegacy(inj Injection) Outcome {
-	return g.InjectLegacyW(inj, StopLatency)
-}
-
-// InjectLegacyW is InjectLegacy with an explicit checker stop window.
 func (g *Golden) InjectLegacyW(inj Injection, window int) Outcome {
 	return g.injectLegacyHorizon(inj, window, g.TotalCycles, 0)
 }
@@ -375,36 +370,14 @@ func (g *Golden) injectLegacyHorizon(inj Injection, window, horizon, shift int) 
 	}
 	red := main.Fork(mem.Monitor{Sys: sys})
 
-	// Apply the fault after the injection-cycle clock edge. A soft fault
-	// inverts the flop for exactly one cycle — per Section III-B, "its
-	// effect on the sequential element will disappear in the next cycle" —
-	// while downstream corruption it caused propagates naturally. Stuck-at
-	// faults are re-forced after every clock edge.
-	switch inj.Kind {
-	case SoftFlip:
-		cpu.FlipBit(&red.State, inj.Flop)
-	case Stuck0:
-		cpu.ForceBit(&red.State, inj.Flop, false)
-	case Stuck1:
-		cpu.ForceBit(&red.State, inj.Flop, true)
-	}
-
-	softArmed := inj.Kind == SoftFlip
+	// Apply the fault after the injection-cycle clock edge; a soft
+	// fault's flop recovers to the main CPU's value after the next edge.
+	f := newForcer(inj)
+	f.inject(&red.State)
 	stepFaulty := func() {
 		main.StepCycle()
 		red.StepCycle()
-		switch inj.Kind {
-		case SoftFlip:
-			if softArmed {
-				// The transient has passed: the flop itself recovers.
-				cpu.ForceBit(&red.State, inj.Flop, cpu.GetBit(&main.State, inj.Flop))
-				softArmed = false
-			}
-		case Stuck0:
-			cpu.ForceBit(&red.State, inj.Flop, false)
-		case Stuck1:
-			cpu.ForceBit(&red.State, inj.Flop, true)
-		}
+		f.edge(&red.State, cpu.GetBit(&main.State, inj.Flop))
 	}
 	for ; cyc < horizon; cyc++ {
 		om := main.State.Outputs()
@@ -425,7 +398,7 @@ func (g *Golden) injectLegacyHorizon(inj Injection, window, horizon, shift int) 
 			recordDSR("inject", dsr)
 			return Outcome{Detected: true, DetectCycle: detect, DSR: dsr}
 		}
-		if inj.Kind == SoftFlip && !softArmed && red.State == main.State {
+		if f.passed() && red.State == main.State {
 			return Outcome{Converged: true}
 		}
 		stepFaulty()

@@ -143,35 +143,13 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 		recoverBit = cpu.GetBit(&r.ghost.State, inj.Flop)
 	}
 
-	// Apply the fault after the injection-cycle clock edge (same
-	// semantics as the legacy path: soft inverts for one cycle, stuck-at
-	// is re-forced after every edge).
-	switch inj.Kind {
-	case SoftFlip:
-		cpu.FlipBit(&red.State, inj.Flop)
-	case Stuck0:
-		cpu.ForceBit(&red.State, inj.Flop, false)
-	case Stuck1:
-		cpu.ForceBit(&red.State, inj.Flop, true)
-	}
-
-	softArmed := inj.Kind == SoftFlip
+	// Apply the fault after the injection-cycle clock edge.
+	f := newForcer(inj)
+	f.inject(&red.State)
 	stepFaulty := func(cyc int) {
 		r.bus.AdvanceTo(cyc + 1)
 		red.StepCycle()
-		switch inj.Kind {
-		case SoftFlip:
-			if softArmed {
-				// The transient has passed: the flop itself recovers to
-				// the golden value.
-				cpu.ForceBit(&red.State, inj.Flop, recoverBit)
-				softArmed = false
-			}
-		case Stuck0:
-			cpu.ForceBit(&red.State, inj.Flop, false)
-		case Stuck1:
-			cpu.ForceBit(&red.State, inj.Flop, true)
-		}
+		f.edge(&red.State, recoverBit)
 	}
 	for cyc := inj.Cycle; cyc < horizon; cyc++ {
 		or := red.State.Outputs()
@@ -193,7 +171,7 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 			recordDSR("inject", dsr)
 			return Outcome{Detected: true, DetectCycle: detect, DSR: dsr}
 		}
-		if inj.Kind == SoftFlip && !softArmed && softCheckDue(cyc, inj.Cycle, horizon) &&
+		if f.passed() && softCheckDue(cyc, inj.Cycle, horizon) &&
 			uint32(cpu.Fingerprint(&red.State)) == g.trace.fp[cyc] &&
 			red.State == r.goldenStateAt(g, cyc) {
 			return Outcome{Converged: true}

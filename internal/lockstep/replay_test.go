@@ -188,6 +188,28 @@ func TestGoldenTraceSelfCheck(t *testing.T) {
 	}
 }
 
+// TestTraceCompaction checks the compaction claim the campaign relies on:
+// on recorded golden runs the in-memory trace (interned output vectors,
+// 4-byte ids and fingerprints) is at least 3x smaller than the version-1
+// flat layout (one OutVec and one 8-byte fingerprint per cycle).
+func TestTraceCompaction(t *testing.T) {
+	for _, kn := range []string{"puwmod", "ttsprk"} {
+		// Campaign-scale horizon: kernels loop, so the OutVec working set
+		// saturates while cycles keep growing — that periodicity is what
+		// the interning exploits.
+		g, err := NewGolden(workload.ByName(kn), 6000, 750)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flatV1 := int64(len(g.trace.outID))*int64(cpu.NumSC*4+8) +
+			int64(len(g.trace.writes))*mem.WriteEventBytes +
+			int64(len(g.trace.reads))*mem.ReadEventBytes
+		if got := g.TraceBytes(); got*3 > flatV1 {
+			t.Errorf("%s: compacted trace %d bytes, want >=3x below flat %d", kn, got, flatV1)
+		}
+	}
+}
+
 // TestInjectReplayZeroAlloc is the allocation regression guard for the
 // campaign hot path: after warm-up, a Replayer runs experiments of every
 // outcome class with zero heap allocations per InjectW. (Skipped under

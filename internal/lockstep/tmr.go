@@ -28,6 +28,7 @@ type TMR struct {
 type armedFault struct {
 	inj Injection
 	cpu int
+	f   forcer
 }
 
 // NewTMR builds a triple lockstep system running the kernel.
@@ -50,7 +51,7 @@ func NewTMR(k *workload.Kernel) (*TMR, error) {
 // Successive calls accumulate: arming faults on two CPUs models the
 // double-fault case where the majority vote becomes ambiguous.
 func (t *TMR) Arm(cpuIdx int, inj Injection) {
-	t.faults = append(t.faults, armedFault{inj: inj, cpu: cpuIdx})
+	t.faults = append(t.faults, armedFault{inj: inj, cpu: cpuIdx, f: newForcer(inj)})
 }
 
 // VoteResult is the majority voter's view of one cycle.
@@ -69,45 +70,21 @@ func (t *TMR) Step() VoteResult {
 	}
 	for i := range t.faults {
 		f := &t.faults[i]
-		if t.Cycle < f.inj.Cycle {
-			continue
-		}
 		st := &t.CPUs[f.cpu].State
-		switch f.inj.Kind {
-		case SoftFlip:
-			switch t.Cycle {
-			case f.inj.Cycle:
-				cpu.FlipBit(st, f.inj.Flop)
-			case f.inj.Cycle + 1:
-				// The transient passes: restore the flop to the value a
-				// (presumed) fault-free neighbour CPU holds.
-				ref := &t.CPUs[(f.cpu+1)%3].State
-				cpu.ForceBit(st, f.inj.Flop, cpu.GetBit(ref, f.inj.Flop))
-			}
-		case Stuck0:
-			cpu.ForceBit(st, f.inj.Flop, false)
-		case Stuck1:
-			cpu.ForceBit(st, f.inj.Flop, true)
+		switch {
+		case t.Cycle == f.inj.Cycle:
+			f.f.inject(st)
+		case t.Cycle > f.inj.Cycle:
+			// A passing transient recovers to the value a (presumed)
+			// fault-free neighbour CPU holds.
+			ref := &t.CPUs[(f.cpu+1)%3].State
+			f.f.edge(st, cpu.GetBit(ref, f.inj.Flop))
 		}
 	}
 	o0 := t.CPUs[0].State.Outputs()
 	o1 := t.CPUs[1].State.Outputs()
 	o2 := t.CPUs[2].State.Outputs()
-	d01 := cpu.Diverge(&o0, &o1)
-	d02 := cpu.Diverge(&o0, &o2)
-	d12 := cpu.Diverge(&o1, &o2)
-	switch {
-	case d01 == 0 && d02 == 0 && d12 == 0:
-		return VoteResult{Erring: -1}
-	case d01 == 0: // 0 and 1 agree -> 2 errs
-		return VoteResult{Diverged: true, DSR: d02, Erring: 2}
-	case d02 == 0: // 0 and 2 agree -> 1 errs
-		return VoteResult{Diverged: true, DSR: d01, Erring: 1}
-	case d12 == 0: // 1 and 2 agree -> 0 errs
-		return VoteResult{Diverged: true, DSR: d01, Erring: 0}
-	default:
-		return VoteResult{Diverged: true, DSR: d01 | d02 | d12, Erring: -1}
-	}
+	return vote3(&o0, &o1, &o2)
 }
 
 // ForwardRecover performs the MMR soft-error recovery of Section II: the
@@ -120,15 +97,13 @@ func (t *TMR) Step() VoteResult {
 // only invoking this after the diagnostic flow has classified the error as
 // soft (or after the voter identified the erring CPU).
 func (t *TMR) ForwardRecover(majority int) uint32 {
-	arch := t.CPUs[majority].State
 	// Resume from the next fetch address of the majority CPU with its
 	// register file; all transient pipeline state is discarded.
-	pc := arch.PC
-	regs := arch.Regs
+	arch := t.CPUs[majority].State
+	recoverTMR(&arch)
 	for i := range t.CPUs {
-		t.CPUs[i].State.Reset(pc)
-		t.CPUs[i].State.Regs = regs
+		t.CPUs[i].State = arch
 	}
 	t.faults = t.faults[:0]
-	return pc
+	return arch.PC
 }

@@ -35,29 +35,12 @@ func (g *Golden) Trace(inj Injection, window int) DivergenceTrace {
 		main.StepCycle()
 	}
 	red := cpu.CPU{State: main.State, Bus: mem.Monitor{Sys: sys}}
-	switch inj.Kind {
-	case SoftFlip:
-		cpu.FlipBit(&red.State, inj.Flop)
-	case Stuck0:
-		cpu.ForceBit(&red.State, inj.Flop, false)
-	case Stuck1:
-		cpu.ForceBit(&red.State, inj.Flop, true)
-	}
-	softArmed := inj.Kind == SoftFlip
+	f := newForcer(inj)
+	f.inject(&red.State)
 	step := func() {
 		main.StepCycle()
 		red.StepCycle()
-		switch inj.Kind {
-		case SoftFlip:
-			if softArmed {
-				cpu.ForceBit(&red.State, inj.Flop, cpu.GetBit(&main.State, inj.Flop))
-				softArmed = false
-			}
-		case Stuck0:
-			cpu.ForceBit(&red.State, inj.Flop, false)
-		case Stuck1:
-			cpu.ForceBit(&red.State, inj.Flop, true)
-		}
+		f.edge(&red.State, cpu.GetBit(&main.State, inj.Flop))
 	}
 	for ; cyc < g.TotalCycles; cyc++ {
 		om := main.State.Outputs()
@@ -74,8 +57,7 @@ func (g *Golden) Trace(inj Injection, window int) DivergenceTrace {
 				return tr
 			}
 		}
-		if inj.Kind == SoftFlip && !softArmed && len(tr.Maps) == 0 &&
-			red.State == main.State {
+		if f.passed() && len(tr.Maps) == 0 && red.State == main.State {
 			tr.Outcome = Outcome{Converged: true}
 			return tr
 		}
