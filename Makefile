@@ -14,8 +14,11 @@ GO ?= go
 
 ci: vet build race determinism resume-determinism distributed-determinism mode-determinism prune-soundness telemetry alloc server serve-smoke swap-determinism serve-slo
 
+# go vet, plus a formatting gate: any file gofmt would rewrite fails it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l ./internal ./cmd ./examples *.go); \
+	if [ -n "$$unformatted" ]; then echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -32,9 +35,11 @@ race:
 # outcomes bit for bit (per-experiment and as a whole campaign dataset).
 # Both sides of that differential share the fault forcer, so its table
 # test runs here too, as does the check that a wrong static prediction
-# aborts both the local and the span executor.
+# aborts both the local and the span executor. The plan's generator must
+# draw exactly what math/rand draws for the same seed, and build the plan
+# math/rand would.
 determinism:
-	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestForcerFaultModel|TestOracleMismatchAbortsEitherExecutor' -count=1 \
+	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestForcerFaultModel|TestOracleMismatchAbortsEitherExecutor|TestPlanRNGMatchesMathRand' -count=1 \
 		./internal/inject/ ./internal/lockstep/
 
 # The crash-safety contracts, explicitly: resuming a campaign from any
@@ -133,10 +138,12 @@ cover:
 # Replayer.InjectW (injection) and predictBytes — decode, dense lookup,
 # render — (serving) must perform zero heap allocations, and the full
 # predict HTTP round trip must stay within its fixed stdlib-plumbing
-# budget. Run without -race (the detector's instrumentation allocates;
-# the tests skip themselves there).
+# budget; plan generation's allocation count must not grow with the
+# number of (kernel, flop, kind) groups. Run without -race (the
+# detector's instrumentation allocates; the tests skip themselves there).
 alloc:
 	$(GO) test -run 'TestInjectReplayZeroAlloc|TestTMRZeroAlloc' -count=1 ./internal/lockstep/
+	$(GO) test -run 'TestPlanAllocs' -count=1 ./internal/inject/
 	$(GO) test -run 'TestPredictZeroAlloc' -count=1 ./internal/server/
 
 bench:
@@ -177,13 +184,14 @@ distributed-bench:
 
 # Short fuzz passes over the campaign-log parser, the checkpoint decoder,
 # the distributed-campaign wire codec (all four lease/span messages
-# through one harness), and the three lockstep-serve request decoders
+# through one harness), the plan generator against math/rand, and the three lockstep-serve request decoders
 # (predict bodies through the full endpoint, campaign submissions and
 # server-side training requests through their validation layers).
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzReadCheckpoint -fuzztime=30s ./internal/inject/
 	$(GO) test -fuzz=FuzzLeaseDecode -fuzztime=30s ./internal/inject/
+	$(GO) test -fuzz=FuzzPlanRNG -fuzztime=30s ./internal/inject/
 	$(GO) test -fuzz=FuzzModeParse -fuzztime=30s ./internal/lockstep/
 	$(GO) test -fuzz=FuzzPredictRequest -fuzztime=30s ./internal/server/
 	$(GO) test -fuzz=FuzzCampaignRequest -fuzztime=30s ./internal/server/

@@ -236,9 +236,9 @@ func runJoin(url, name string, leaseSize, workers int, metricsPath string, summa
 		},
 	})
 	if summary {
-		fmt.Fprintf(errw, "worker %s: %d spans (%d experiments, %d pruned, %d duplicate, %d expired), busy %v of %v\n",
+		fmt.Fprintf(errw, "worker %s: %d spans (%d experiments, %d pruned, %d duplicate, %d expired), busy %v of %v; phases: %s\n",
 			name, st.Spans, st.Experiments, st.Pruned, st.Duplicates, st.Expired,
-			st.Busy.Round(time.Millisecond), st.Elapsed.Round(time.Millisecond))
+			st.Busy.Round(time.Millisecond), st.Elapsed.Round(time.Millisecond), st.Phases)
 	}
 	if metricsPath != "" {
 		if merr := writeMetrics(metricsPath); merr != nil && err == nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -131,6 +132,18 @@ func TestMetricsSnapshotAndDeterminism(t *testing.T) {
 		}
 		if !foundLat || !foundPop {
 			t.Fatalf("%s: missing campaign histograms (latency=%v popcount=%v)", path, foundLat, foundPop)
+		}
+		// And the wall clock split into its four phases.
+		phases := map[string]bool{}
+		for _, g := range snap.Gauges {
+			if g.Name == "inject.phase_us" {
+				phases[g.Labels["phase"]] = true
+			}
+		}
+		for _, p := range []string{"plan", "golden", "prune", "simulate"} {
+			if !phases[p] {
+				t.Fatalf("%s: no inject.phase_us gauge for phase %q", path, p)
+			}
 		}
 	}
 }
@@ -320,5 +333,20 @@ func TestCLIRejectsUnknownKernel(t *testing.T) {
 	}
 	if want := `config Kernels: unknown kernel "nosuch"`; !strings.Contains(res.Stderr, want) {
 		t.Fatalf("stderr %q does not carry the ConfigError rendering %q", res.Stderr, want)
+	}
+}
+
+// TestSummaryPrintsPhases: the throughput line on stderr splits the
+// campaign's wall clock into its plan, golden, prune and simulate phases.
+func TestSummaryPrintsPhases(t *testing.T) {
+	args := campaignArgs(filepath.Join(t.TempDir(), "c.csv"), "", 2)
+	args = append(args, "-summary=true")
+	res := clitest.Exec(t, args...)
+	if res.Code != 0 {
+		t.Fatalf("exit %d, stderr: %s", res.Code, res.Stderr)
+	}
+	re := regexp.MustCompile(`(?m)^throughput: .*; phases: plan [0-9.]+ms, golden [0-9.]+ms, prune [0-9.]+ms, simulate [0-9.]+ms$`)
+	if !re.MatchString(res.Stderr) {
+		t.Fatalf("stderr has no throughput line with phases:\n%s", res.Stderr)
 	}
 }

@@ -63,8 +63,8 @@ func (e *StaleFingerprintError) Error() string {
 // expired and was re-issued to another worker. The records are discarded
 // (the re-issued lease will produce byte-identical ones).
 type LeaseExpiredError struct {
-	ID   uint64
-	Sp   Span
+	ID uint64
+	Sp Span
 }
 
 func (e *LeaseExpiredError) Error() string {
@@ -709,6 +709,9 @@ type SpanStats struct {
 	Pruned        int // outcomes proved statically, recorded without simulating
 	OracleChecked int // pruned sites re-simulated by the differential oracle
 	Failures      int // experiments recorded as Failed by the containment layer
+	// Phases splits the span's wall time; Plan stays zero (the runner
+	// enumerates its plan once, in NewSpanRunner).
+	Phases Phases
 }
 
 // SpanRunner is the worker-node side of a distributed campaign: the plan
@@ -765,14 +768,17 @@ func (r *SpanRunner) Run(sp Span) ([]dataset.Record, SpanStats, error) {
 		}
 		pending = append(pending, i)
 	}
+	goldenStart := time.Now()
 	if err := buildGoldens(r.x.cfg, kernels, r.x.goldens); err != nil {
 		return nil, SpanStats{}, err
 	}
+	golden := time.Since(goldenStart)
 	records := make([]dataset.Record, sp.Hi-sp.Lo)
 	xs, err := r.x.run(pending, func(idx int, rec dataset.Record) {
 		records[idx-sp.Lo] = rec
 	})
-	st := SpanStats{Pruned: xs.pruned, OracleChecked: xs.oracleChecked, Failures: xs.failures}
+	st := SpanStats{Pruned: xs.pruned, OracleChecked: xs.oracleChecked, Failures: xs.failures,
+		Phases: Phases{Golden: golden, Prune: xs.prune, Simulate: xs.simulate}}
 	switch {
 	case err != nil:
 		return nil, st, err

@@ -175,6 +175,18 @@ type Config struct {
 	testPredict func(Experiment, lockstep.Outcome) lockstep.Outcome
 }
 
+// Admission bounds. Plan allocates in proportion to the experiment count
+// and to Intervals (each group draws a permutation of the intervals), so
+// a config beyond either bound is refused with a ConfigError before
+// anything is allocated. Both sit far above the largest campaign the
+// tools define — `lockstep-experiments -scale full` is 171,990 experiments
+// over 64 intervals — and MaxExperiments admits the paper's 10 million
+// injections in one campaign.
+const (
+	MaxExperiments = 1 << 24
+	MaxIntervals   = 1 << 16
+)
+
 // DefaultConfig is a laptop-scale campaign: full flop coverage, all three
 // fault kinds, two intervals per (flop, kind) on every kernel.
 func DefaultConfig() Config {
@@ -244,7 +256,29 @@ func (c *Config) normalize() error {
 			return &ConfigError{Field: "Kernels", Reason: fmt.Sprintf("unknown kernel %q", name)}
 		}
 	}
+	if c.Intervals > MaxIntervals {
+		return &ConfigError{Field: "Intervals", Reason: fmt.Sprintf("%d intervals exceed the limit of %d", c.Intervals, MaxIntervals)}
+	}
+	if _, ok := c.experiments(); !ok {
+		return &ConfigError{Field: "InjectionsPerFlopKind", Reason: fmt.Sprintf(
+			"%d injections per (flop, kind) make more than %d experiments", c.InjectionsPerFlopKind, MaxExperiments)}
+	}
 	return nil
+}
+
+// experiments returns the experiment count of a config whose defaults are
+// applied, and false if it exceeds MaxExperiments. Each partial product is
+// checked before the next multiplication, so it cannot overflow.
+func (c *Config) experiments() (int, bool) {
+	n := len(c.Kernels)
+	flops := (cpu.NumFlops()-1)/c.FlopStride + 1
+	for _, f := range []int{flops, len(c.Kinds), c.InjectionsPerFlopKind} {
+		if f > 0 && n > MaxExperiments/f {
+			return 0, false
+		}
+		n *= f
+	}
+	return n, true
 }
 
 // Fingerprint returns the schedule fingerprint of the config: every field
@@ -261,14 +295,15 @@ func (c Config) Fingerprint() (Fingerprint, error) {
 }
 
 // Total returns the number of experiments the config will run. A config
-// that cannot run (e.g. an unknown kernel name) returns the error that
-// Run/RunStats/Plan would return, instead of silently reporting 0.
+// that cannot run (e.g. an unknown kernel name, or more than
+// MaxExperiments experiments) returns the error that Run/RunStats/Plan
+// would return, instead of silently reporting 0.
 func (c Config) Total() (int, error) {
 	if err := c.normalize(); err != nil {
 		return 0, err
 	}
-	flops := (cpu.NumFlops() + c.FlopStride - 1) / c.FlopStride
-	return len(c.Kernels) * flops * len(c.Kinds) * c.InjectionsPerFlopKind, nil
+	n, _ := c.experiments() // normalize has bounded it
+	return n, nil
 }
 
 // Stats reports how a campaign ran.
@@ -287,6 +322,27 @@ type Stats struct {
 	Workers       int           // worker pool size used
 	Elapsed       time.Duration // wall clock, golden runs included
 	PerSec        float64       // executed experiments per wall-clock second
+	// Phases splits Elapsed by pipeline stage; a distributed
+	// coordinator, whose experiments run on its workers, leaves it zero.
+	Phases Phases
+}
+
+// Phases splits a campaign's wall clock into its serial pipeline stages.
+// The stages run one after another, so their sum falls short of Elapsed
+// only by the bookkeeping between them (resume restore, pending list,
+// final checkpoint write).
+type Phases struct {
+	Plan     time.Duration // plan enumeration
+	Golden   time.Duration // golden runs: simulation, liveness, snapshots
+	Prune    time.Duration // static pruning pass over the pending experiments
+	Simulate time.Duration // worker pool: every experiment pruning left, oracle sample included
+}
+
+// String renders the phases one-line, in milliseconds.
+func (p Phases) String() string {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return fmt.Sprintf("plan %.1fms, golden %.1fms, prune %.1fms, simulate %.1fms",
+		ms(p.Plan), ms(p.Golden), ms(p.Prune), ms(p.Simulate))
 }
 
 // Executed is the number of experiments this run resolved itself, whether
@@ -305,6 +361,9 @@ func (s Stats) String() string {
 	}
 	if s.Failures > 0 {
 		out += fmt.Sprintf(", %d FAILED", s.Failures)
+	}
+	if s.Phases != (Phases{}) {
+		out += "; phases: " + s.Phases.String()
 	}
 	return out
 }
@@ -325,6 +384,7 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	phases := Phases{Plan: time.Since(start)}
 
 	// Records land at their plan index, so the merged dataset is in
 	// canonical plan order no matter which worker ran which experiment —
@@ -370,9 +430,11 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 		}
 	}
 	goldens := make(map[string]*lockstep.Golden, len(kernels))
+	goldenStart := time.Now()
 	if err := buildGoldens(cfg, kernels, goldens); err != nil {
 		return nil, Stats{}, err
 	}
+	phases.Golden = time.Since(goldenStart)
 
 	var ckp *checkpointer
 	if cfg.CheckpointPath != "" {
@@ -409,6 +471,7 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 	if xs.oracleChecked > 0 {
 		telemetry.Default.Counter("inject.pruned_oracle_checked").Add(int64(xs.oracleChecked))
 	}
+	phases.Prune, phases.Simulate = xs.prune, xs.simulate
 
 	st := Stats{
 		Experiments:   len(plan),
@@ -417,6 +480,7 @@ func RunStats(cfg Config) (*dataset.Dataset, Stats, error) {
 		OracleChecked: xs.oracleChecked,
 		Failures:      xs.failures,
 		Workers:       xs.workers,
+		Phases:        phases,
 	}
 	if xs.canceled {
 		st.Experiments = restored + xs.pruned + xs.executed
@@ -505,6 +569,8 @@ type execStats struct {
 	failures      int // simulated experiments recorded as Failed
 	workers       int // executor goroutines used
 	canceled      bool
+	prune         time.Duration // wall time of the prune pass
+	simulate      time.Duration // wall time of the worker pool
 }
 
 // run resolves every plan index in pending, reordering the slice in
@@ -531,6 +597,7 @@ func (x *executor) run(pending []int, put func(idx int, rec dataset.Record)) (ex
 		put(idx, recordFor(e, out, x.cfg.Mode))
 	}
 
+	pruneStart := time.Now()
 	var oracleExpect map[int]lockstep.Outcome
 	if !x.cfg.NoPrune {
 		oracleExpect = make(map[int]lockstep.Outcome)
@@ -556,6 +623,8 @@ func (x *executor) run(pending []int, put func(idx int, rec dataset.Record)) (ex
 		}
 		pending = remaining
 	}
+	simStart := time.Now()
+	st.prune = simStart.Sub(pruneStart)
 
 	st.workers = min(x.cfg.Workers, len(pending))
 	if st.workers < 1 {
@@ -611,6 +680,7 @@ feed:
 	}
 	close(next)
 	wg.Wait()
+	st.simulate = time.Since(simStart)
 	st.executed = int(executed.Load())
 	st.failures = int(failures.Load())
 	return st, oracleErr
@@ -890,6 +960,13 @@ func (t *campaignTelemetry) finish(st Stats) {
 	telemetry.Default.Gauge("inject.workers").Set(int64(st.Workers))
 	telemetry.Default.Gauge("inject.elapsed_ms").Set(st.Elapsed.Milliseconds())
 	telemetry.Default.Gauge("inject.per_sec").Set(int64(st.PerSec))
+	phase := func(name string) *telemetry.Gauge {
+		return telemetry.Default.Gauge("inject.phase_us", telemetry.L("phase", name))
+	}
+	phase("plan").Set(st.Phases.Plan.Microseconds())
+	phase("golden").Set(st.Phases.Golden.Microseconds())
+	phase("prune").Set(st.Phases.Prune.Microseconds())
+	phase("simulate").Set(st.Phases.Simulate.Microseconds())
 }
 
 // buildGoldens records the fault-free golden run of every named kernel

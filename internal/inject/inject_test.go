@@ -1,11 +1,15 @@
 package inject
 
 import (
+	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"lockstep/internal/cpu"
 	"lockstep/internal/lockstep"
 	"lockstep/internal/units"
+	"lockstep/internal/workload"
 )
 
 func smallConfig() Config {
@@ -168,5 +172,99 @@ func TestFullFlopCoverage(t *testing.T) {
 	}
 	if ds.Len() != cpu.NumFlops() {
 		t.Fatalf("campaign size %d != flop count %d", ds.Len(), cpu.NumFlops())
+	}
+}
+
+// TestAdmissionBounds: a config beyond the experiment or interval bound
+// is refused with a ConfigError naming the field, by Total, Plan and
+// Fingerprint alike, before anything is allocated; an experiment count
+// whose product overflows int is refused, not wrapped; and the bounds
+// admit the largest campaign the tools define (-scale full).
+func TestAdmissionBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		field string
+	}{
+		{"injections", Config{Kernels: []string{"ttsprk"}, InjectionsPerFlopKind: 4_000_000_000_000}, "InjectionsPerFlopKind"},
+		{"overflowing product", Config{InjectionsPerFlopKind: math.MaxInt / 2}, "InjectionsPerFlopKind"},
+		{"intervals", Config{Kernels: []string{"ttsprk"}, Intervals: 1_000_000_000_000}, "Intervals"},
+		{"one interval too many", Config{Kernels: []string{"ttsprk"}, Intervals: MaxIntervals + 1}, "Intervals"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(what string, err error) {
+				var ce *ConfigError
+				if !errors.As(err, &ce) || ce.Field != tc.field {
+					t.Fatalf("%s: error %v, want a ConfigError naming %s", what, err, tc.field)
+				}
+			}
+			n, err := tc.cfg.Total()
+			check("Total", err)
+			if n != 0 {
+				t.Fatalf("Total = %d alongside an error", n)
+			}
+			_, err = tc.cfg.Plan()
+			check("Plan", err)
+			_, err = tc.cfg.Fingerprint()
+			check("Fingerprint", err)
+		})
+	}
+
+	// A stride beyond any flop count samples flop 0 alone.
+	n, err := Config{Kernels: []string{"ttsprk"}, FlopStride: math.MaxInt}.Total()
+	if err != nil || n != 3 {
+		t.Fatalf("Total with the largest stride = %d, %v; want 3 (one flop x three kinds)", n, err)
+	}
+	// -scale full: the whole suite, every flop, two injections each.
+	n, err = Config{RunCycles: 20000, Intervals: 64, InjectionsPerFlopKind: 2, FlopStride: 1}.Total()
+	if want := len(workload.Kernels()) * cpu.NumFlops() * 3 * 2; err != nil || n != want {
+		t.Fatalf("-scale full Total = %d, %v; want %d", n, err, want)
+	}
+	if _, err := (Config{Kernels: []string{"ttsprk"}, Intervals: MaxIntervals, FlopStride: cpu.NumFlops()}).Total(); err != nil {
+		t.Fatalf("MaxIntervals refused: %v", err)
+	}
+}
+
+// TestStatsPhasesSumToElapsed: RunStats splits its wall clock into the
+// plan, golden, prune and simulate phases. The phases run one after
+// another inside Elapsed, so their sum never exceeds it; the remainder is
+// the bookkeeping between them (pending list, executor set-up, counters),
+// which must stay within a tolerance of 10% of Elapsed plus 20 ms — loose
+// enough for a loaded -race run, tight enough that a phase left out of
+// the accounting (golden or simulate, tens of milliseconds here) fails.
+// A span run reports its golden, prune and simulate phases the same way.
+func TestStatsPhasesSumToElapsed(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Workers = 2
+	_, st, err := RunStats(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := st.Phases
+	if p.Plan <= 0 || p.Golden <= 0 || p.Prune <= 0 || p.Simulate <= 0 {
+		t.Fatalf("a phase is unmeasured: %+v", p)
+	}
+	sum := p.Plan + p.Golden + p.Prune + p.Simulate
+	tol := st.Elapsed/10 + 20*time.Millisecond
+	if sum > st.Elapsed || st.Elapsed-sum > tol {
+		t.Fatalf("phases sum to %v, Elapsed %v: want within %v below it (%s)", sum, st.Elapsed, tol, p)
+	}
+
+	r, err := NewSpanRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, ss, err := r.Run(Span{Lo: 0, Hi: r.Total() / 2})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := ss.Phases
+	if sp.Plan != 0 || sp.Golden <= 0 || sp.Simulate <= 0 {
+		t.Fatalf("span phases %+v: want golden and simulate measured, plan zero", sp)
+	}
+	if sum := sp.Golden + sp.Prune + sp.Simulate; sum > wall {
+		t.Fatalf("span phases sum to %v, more than the span's %v", sum, wall)
 	}
 }

@@ -1,8 +1,6 @@
 package inject
 
 import (
-	"math/rand"
-
 	"lockstep/internal/cpu"
 	"lockstep/internal/lockstep"
 )
@@ -27,7 +25,10 @@ type Experiment struct {
 // number. Each (kernel, flop, kind) group draws its injection cycles from
 // its own RNG seeded by mixing Config.Seed with the group coordinates, so
 // any sub-plan is reproducible in isolation and the schedule is invariant
-// under re-ordering, sharding, or filtering of the plan.
+// under re-ordering, sharding, or filtering of the plan. The group RNG is
+// planRNG, which draws exactly what math/rand seeded with the same value
+// would; one generator and one interval scratch slice serve every group,
+// so a group allocates nothing.
 func (c Config) Plan() ([]Experiment, error) {
 	if err := c.normalize(); err != nil {
 		return nil, err
@@ -39,6 +40,8 @@ func (c Config) Plan() ([]Experiment, error) {
 	// c is normalized above, so Total cannot fail here.
 	total, _ := c.Total()
 	plan := make([]Experiment, 0, total)
+	var rng planRNG
+	intervals := make([]int, c.Intervals)
 	for _, name := range c.Kernels {
 		for flop := 0; flop < cpu.NumFlops(); flop += c.FlopStride {
 			for _, kind := range c.Kinds {
@@ -46,11 +49,11 @@ func (c Config) Plan() ([]Experiment, error) {
 				// injection points independent of campaign iteration order.
 				// The interval permutation guarantees the group's
 				// injections land in distinct intervals (until it wraps).
-				rng := rand.New(rand.NewSource(mix(c.Seed, name, flop, int(kind))))
-				intervals := rng.Perm(c.Intervals)
+				rng.seed(mix(c.Seed, name, flop, int(kind)))
+				rng.perm(intervals)
 				for n := 0; n < c.InjectionsPerFlopKind; n++ {
 					iv := intervals[n%c.Intervals]
-					cycle := iv*intervalLen + rng.Intn(intervalLen)
+					cycle := iv*intervalLen + rng.intn(intervalLen)
 					if cycle >= c.RunCycles {
 						cycle = c.RunCycles - 1
 					}

@@ -97,26 +97,26 @@ import (
 //     conservatively always observed, so soft faults are never pruned
 //     there and stuck-at faults prune only via value stability.
 const (
-	lvAlways = iota // conservatively observed every cycle
-	lvNever         // input-capture sinks: never read, never exposed
-	lvExc           // EPC, ExcCause: ExcValid
-	lvRet           // RetCnt: MWValid (self-increment carries cross bits)
-	lvDX            // decode/operand payload: DXValid
-	lvXM            // EX/MEM payload: XMValid
-	lvMW            // MEM/WB payload: MWValid
-	lvFQ0           // fetch-queue entry 0 payload: FQValid[0] at head
-	lvFQ1           // fetch-queue entry 1 payload: FQValid[1] at head
-	lvIReq          // IReqAddr: IReqValid
-	lvDAddr         // DAddr, DBE: DRe || DWe
-	lvDWData        // DWData: DWe
-	lvExtPay        // ExtAddr, ExtWData, ExtBE: ExtBusy || ExtRe || ExtWe
-	lvLSU           // LSU registers: load/store valid in MEM
-	lvMulBusy       // MulBusy: MUL/MULH valid in EX
-	lvMulData       // MulA/MulB/MulHiSel: MUL/MULH in EX and MulBusy
-	lvDivBusy       // DivBusy: DIV/REM valid in EX
-	lvDivData       // divider data registers: DIV/REM in EX and DivBusy
-	lvMPUAttr       // MPUAttr[*]: any MEM-stage load/store
-	lvMPUBL0        // MPUBase/MPULimit of region i: lvMPUBL0+i
+	lvAlways   = iota // conservatively observed every cycle
+	lvNever           // input-capture sinks: never read, never exposed
+	lvExc             // EPC, ExcCause: ExcValid
+	lvRet             // RetCnt: MWValid (self-increment carries cross bits)
+	lvDX              // decode/operand payload: DXValid
+	lvXM              // EX/MEM payload: XMValid
+	lvMW              // MEM/WB payload: MWValid
+	lvFQ0             // fetch-queue entry 0 payload: FQValid[0] at head
+	lvFQ1             // fetch-queue entry 1 payload: FQValid[1] at head
+	lvIReq            // IReqAddr: IReqValid
+	lvDAddr           // DAddr, DBE: DRe || DWe
+	lvDWData          // DWData: DWe
+	lvExtPay          // ExtAddr, ExtWData, ExtBE: ExtBusy || ExtRe || ExtWe
+	lvLSU             // LSU registers: load/store valid in MEM
+	lvMulBusy         // MulBusy: MUL/MULH valid in EX
+	lvMulData         // MulA/MulB/MulHiSel: MUL/MULH in EX and MulBusy
+	lvDivBusy         // DivBusy: DIV/REM valid in EX
+	lvDivData         // divider data registers: DIV/REM in EX and DivBusy
+	lvMPUAttr         // MPUAttr[*]: any MEM-stage load/store
+	lvMPUBL0          // MPUBase/MPULimit of region i: lvMPUBL0+i
 	numStreams = lvMPUBL0 + cpu.MPURegions + 15
 	lvReg1     = lvMPUBL0 + cpu.MPURegions // Regs[i]: lvReg1 + i - 1
 )

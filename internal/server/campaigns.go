@@ -652,14 +652,14 @@ func (m *jobManager) census() map[string]int {
 
 // jobStatus is the wire form of a job.
 type jobStatus struct {
-	ID       string          `json:"id"`
-	State    string          `json:"state"`
-	Done     int64           `json:"done"`
-	Total    int             `json:"total"`
-	Restored int             `json:"restored,omitempty"`
-	Failures int             `json:"failures,omitempty"`
-	PerSec   float64         `json:"per_sec,omitempty"`
-	Error    string          `json:"error,omitempty"`
+	ID       string  `json:"id"`
+	State    string  `json:"state"`
+	Done     int64   `json:"done"`
+	Total    int     `json:"total"`
+	Restored int     `json:"restored,omitempty"`
+	Failures int     `json:"failures,omitempty"`
+	PerSec   float64 `json:"per_sec,omitempty"`
+	Error    string  `json:"error,omitempty"`
 	// TrainedTable / TrainError report a "train": true job's
 	// post-completion training outcome.
 	TrainedTable string          `json:"trained_table,omitempty"`

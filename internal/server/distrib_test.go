@@ -39,6 +39,10 @@ func startWorkers(t *testing.T, url string, n int) *sync.WaitGroup {
 			if err != nil {
 				t.Errorf("worker %s: %v (stats %+v)", name, err, st)
 			}
+			// A worker that ran spans reports where their time went.
+			if st.Spans > 0 && (st.Phases.Plan <= 0 || st.Phases.Golden <= 0 || st.Phases.Simulate <= 0) {
+				t.Errorf("worker %s: phases %s not measured (%d spans)", name, st.Phases, st.Spans)
+			}
 		}()
 	}
 	return &wg

@@ -61,6 +61,10 @@ type WorkerStats struct {
 	// Elapsed is the whole loop. Busy/Elapsed ≈ worker utilization.
 	Busy    time.Duration
 	Elapsed time.Duration
+	// Phases splits the work by pipeline stage: Plan is the one plan
+	// enumeration when the first lease is granted, and Golden, Prune and
+	// Simulate are summed over spans (they fall within Busy).
+	Phases inject.Phases
 }
 
 // RunWorker joins a distributed campaign and executes leases until the
@@ -136,10 +140,12 @@ func RunWorker(ctx context.Context, opt WorkerOptions) (st WorkerStats, err erro
 				return st, err
 			}
 			cfg.Workers = opt.InjectWorkers
+			planStart := time.Now()
 			runner, err = inject.NewSpanRunner(cfg)
 			if err != nil {
 				return st, err
 			}
+			st.Phases.Plan = time.Since(planStart)
 			if runner.Total() != reply.Total {
 				return st, fmt.Errorf("server: campaign plan disagrees: coordinator has %d experiments, this build enumerates %d", reply.Total, runner.Total())
 			}
@@ -156,6 +162,9 @@ func RunWorker(ctx context.Context, opt WorkerOptions) (st WorkerStats, err erro
 		}
 		busy := time.Since(busyStart)
 		st.Busy += busy
+		st.Phases.Golden += spanStats.Phases.Golden
+		st.Phases.Prune += spanStats.Phases.Prune
+		st.Phases.Simulate += spanStats.Phases.Simulate
 		if err != nil {
 			// An execution error (oracle mismatch, bad golden) is not
 			// retryable: the same span would fail everywhere.

@@ -181,6 +181,32 @@ func TestEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestCampaignAdmissionBounds is the regression test for a submission
+// that passed validation and then panicked the job goroutine in
+// Config.Plan (makeslice: cap out of range), killing the whole process:
+// an experiment count or interval count beyond inject's admission bounds
+// must come back as 400 invalid_config naming the field, and the server
+// must keep serving.
+func TestCampaignAdmissionBounds(t *testing.T) {
+	s := newTestServer(t, nil)
+	for _, tc := range []struct{ body, field string }{
+		{`{"kernels":["ttsprk"],"injections_per_flop_kind":4000000000000}`, "InjectionsPerFlopKind"},
+		{`{"kernels":["ttsprk"],"intervals":1000000000000}`, "Intervals"},
+	} {
+		code, body := do(t, s, "POST", "/v1/campaigns", tc.body)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (body %v)", tc.body, code, body)
+		}
+		e := apiErrOf(t, body)
+		if e["code"] != "invalid_config" || e["field"] != tc.field {
+			t.Fatalf("%s: error %v, want invalid_config naming %s", tc.body, e, tc.field)
+		}
+	}
+	if code, body := do(t, s, "GET", "/healthz", ""); code != http.StatusOK {
+		t.Fatalf("healthz after the rejections: status %d (body %v)", code, body)
+	}
+}
+
 func oversizedBatch(n int) string {
 	var b strings.Builder
 	b.WriteString(`{"dsrs":[`)

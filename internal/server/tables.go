@@ -429,12 +429,12 @@ type tableJSON struct {
 	Granularity string `json:"granularity"`
 	// Mode is the lockstep mode of the training campaign; omitted for
 	// dcls, the pre-mode wire shape.
-	Mode string `json:"mode,omitempty"`
-	Sets        int    `json:"sets"`
-	TopK        int    `json:"topk,omitempty"`
-	TableBits   int    `json:"table_bits"`
-	Source      string `json:"source"`
-	Active      bool   `json:"active"`
+	Mode      string `json:"mode,omitempty"`
+	Sets      int    `json:"sets"`
+	TopK      int    `json:"topk,omitempty"`
+	TableBits int    `json:"table_bits"`
+	Source    string `json:"source"`
+	Active    bool   `json:"active"`
 }
 
 func bundleJSON(b *tableBundle, active bool) tableJSON {
