@@ -37,10 +37,11 @@ race:
 # test runs here too, as does the check that a wrong static prediction
 # aborts both the local and the span executor. The plan's generator must
 # draw exactly what math/rand draws for the same seed, and build the plan
-# math/rand would.
+# math/rand would. The in-place cpu.Step must match the copy-based
+# reference step, and the packed output port the per-SC reference vector.
 determinism:
-	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestForcerFaultModel|TestOracleMismatchAbortsEitherExecutor|TestPlanRNGMatchesMathRand' -count=1 \
-		./internal/inject/ ./internal/lockstep/
+	$(GO) test -race -run 'TestWorkerCountInvariance|TestProgressMonotonic|TestConcurrentInjectMatchesSerial|TestReplayMatchesLegacyOracle|TestLegacyOracleDatasetIdentical|TestPrunedMatchesUnpruned|TestGoldenTraceSelfCheck|TestForcerFaultModel|TestOracleMismatchAbortsEitherExecutor|TestPlanRNGMatchesMathRand|TestStepMatchesReference|TestPortMatchesOutputs' -count=1 \
+		./internal/cpu/ ./internal/inject/ ./internal/lockstep/
 
 # The crash-safety contracts, explicitly: resuming a campaign from any
 # checkpoint prefix (in-process truncation) or after a SIGKILL of the real
@@ -135,14 +136,15 @@ cover:
 	done
 
 # Allocation regression guards for the two hot paths: steady-state
-# Replayer.InjectW (injection) and predictBytes — decode, dense lookup,
+# Replayer.InjectW and InjectMode in every mode, the TMR recovery recheck
+# included (injection), and predictBytes — decode, dense lookup,
 # render — (serving) must perform zero heap allocations, and the full
 # predict HTTP round trip must stay within its fixed stdlib-plumbing
 # budget; plan generation's allocation count must not grow with the
 # number of (kernel, flop, kind) groups. Run without -race (the
 # detector's instrumentation allocates; the tests skip themselves there).
 alloc:
-	$(GO) test -run 'TestInjectReplayZeroAlloc|TestTMRZeroAlloc' -count=1 ./internal/lockstep/
+	$(GO) test -run 'TestInjectReplayZeroAlloc|TestInjectModeZeroAlloc|TestTMRZeroAlloc' -count=1 ./internal/lockstep/
 	$(GO) test -run 'TestPlanAllocs' -count=1 ./internal/inject/
 	$(GO) test -run 'TestPredictZeroAlloc' -count=1 ./internal/server/
 
@@ -184,7 +186,9 @@ distributed-bench:
 
 # Short fuzz passes over the campaign-log parser, the checkpoint decoder,
 # the distributed-campaign wire codec (all four lease/span messages
-# through one harness), the plan generator against math/rand, and the three lockstep-serve request decoders
+# through one harness), the plan generator against math/rand, the
+# in-place cpu.Step and the packed output port against their reference
+# implementations, and the three lockstep-serve request decoders
 # (predict bodies through the full endpoint, campaign submissions and
 # server-side training requests through their validation layers).
 fuzz:
@@ -192,6 +196,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadCheckpoint -fuzztime=30s ./internal/inject/
 	$(GO) test -fuzz=FuzzLeaseDecode -fuzztime=30s ./internal/inject/
 	$(GO) test -fuzz=FuzzPlanRNG -fuzztime=30s ./internal/inject/
+	$(GO) test -fuzz=FuzzStep -fuzztime=30s ./internal/cpu/
+	$(GO) test -fuzz=FuzzPort -fuzztime=30s ./internal/cpu/
 	$(GO) test -fuzz=FuzzModeParse -fuzztime=30s ./internal/lockstep/
 	$(GO) test -fuzz=FuzzPredictRequest -fuzztime=30s ./internal/server/
 	$(GO) test -fuzz=FuzzCampaignRequest -fuzztime=30s ./internal/server/

@@ -168,8 +168,55 @@ func OutputPortBits() int {
 	return total
 }
 
-// Outputs samples the registered output port as a function of the current
-// flop state. Both lockstepped CPUs produce identical vectors every cycle
+// Port is the registered output port in packed form: the same qualified
+// signals Outputs produces, one uint32 per payload bus and the control
+// categories packed into Ctl (see the ctl* bit offsets). It is what the
+// golden trace stores per distinct cycle and what the replay hot path
+// compares — 40 bytes instead of the 248 of an OutVec.
+//
+// Vec is injective on every Port that State.Port returns: each payload
+// word is split whole into its nibble or byte SCs, each ctl field lands
+// in its own SC, and the Ctl bits outside the fields are always zero. So
+// two Ports are equal exactly when their vectors are, and DivergePort
+// equals Diverge on the expanded vectors.
+type Port struct {
+	IAddr    uint32 // instruction port address, while IReqValid
+	DAddr    uint32 // data port address, while DRe or DWe
+	DWData   uint32 // data port write data, while DWe
+	ExtAddr  uint32 // external bus address, while the BIU is active
+	ExtWData uint32 // external bus write data, while the BIU writes
+	RetPC    uint32 // trace: retired instruction address, while MWValid
+	RetInstr uint32 // trace: retired instruction word, while MWValid
+	WBData   uint32 // trace: writeback value, while MWValid and MWWen
+	EPC      uint32 // exception PC, while ExcValid
+	Ctl      uint32 // control SCs, packed at the ctl* offsets
+}
+
+// Bit offsets of the control SCs within Port.Ctl; each field is
+// SCWidth(sc) bits wide and the fields do not overlap.
+const (
+	ctlICtl     = 0  // SCICtl, 1 bit
+	ctlDRW      = 1  // SCDCtlRW, 2 bits
+	ctlDBE      = 3  // SCDCtlBE, 4 bits
+	ctlExtRW    = 7  // SCExtCtlRW, 5 bits
+	ctlExtBE    = 12 // SCExtCtlBE, 4 bits
+	ctlWBCtl    = 16 // SCWBCtl, 2 bits
+	ctlWBReg    = 18 // SCWBReg, 4 bits
+	ctlExcValid = 22 // SCExcValid, 1 bit
+	ctlHalted   = 23 // SCHalted, 1 bit
+	ctlExcCause = 24 // SCExcCause, 3 bits
+)
+
+// ctlFields maps each control SC to its offset in Port.Ctl.
+var ctlFields = [...]struct{ sc, shift int }{
+	{SCICtl, ctlICtl}, {SCDCtlRW, ctlDRW}, {SCDCtlBE, ctlDBE},
+	{SCExtCtlRW, ctlExtRW}, {SCExtCtlBE, ctlExtBE},
+	{SCWBCtl, ctlWBCtl}, {SCWBReg, ctlWBReg},
+	{SCExcValid, ctlExcValid}, {SCHalted, ctlHalted}, {SCExcCause, ctlExcCause},
+}
+
+// Port samples the registered output port as a function of the current
+// flop state. Both lockstepped CPUs produce identical ports every cycle
 // in the absence of faults.
 //
 // The comparison is QUALIFIED, as in production lockstep checkers: payload
@@ -178,45 +225,70 @@ func OutputPortBits() int {
 // legitimately hold stale values the system never consumes. The strobes
 // themselves are always compared, so a diverging transaction *presence* is
 // still caught immediately.
-func (s *State) Outputs() OutVec {
-	var o OutVec
+func (s *State) Port() Port {
+	var p Port
+	ctl := b2u(s.IReqValid) << ctlICtl
 	if s.IReqValid {
-		putNibbles(&o, SCIAddr0, s.IReqAddr)
+		p.IAddr = s.IReqAddr
 	}
-	o[SCICtl] = b2u(s.IReqValid)
 	if s.DRe || s.DWe {
-		putNibbles(&o, SCDAddr0, s.DAddr)
-		o[SCDCtlBE] = uint32(s.DBE & 0xF)
+		p.DAddr = s.DAddr
+		ctl |= uint32(s.DBE&0xF) << ctlDBE
 	}
 	if s.DWe {
-		putNibbles(&o, SCDWData0, s.DWData)
+		p.DWData = s.DWData
 	}
-	o[SCDCtlRW] = b2u(s.DRe) | b2u(s.DWe)<<1
+	ctl |= (b2u(s.DRe) | b2u(s.DWe)<<1) << ctlDRW
 	if s.ExtBusy || s.ExtRe || s.ExtWe {
-		putBytes(&o, SCExtAddr0, s.ExtAddr)
-		o[SCExtCtlBE] = uint32(s.ExtBE & 0xF)
+		p.ExtAddr = s.ExtAddr
+		ctl |= uint32(s.ExtBE&0xF) << ctlExtBE
 		if s.ExtWe {
-			putBytes(&o, SCExtWData0, s.ExtWData)
+			p.ExtWData = s.ExtWData
 		}
 	}
-	o[SCExtCtlRW] = b2u(s.ExtRe) | b2u(s.ExtWe)<<1 | b2u(s.ExtBusy)<<2 |
-		uint32(s.ExtCnt&3)<<3
+	ctl |= (b2u(s.ExtRe) | b2u(s.ExtWe)<<1 | b2u(s.ExtBusy)<<2 |
+		uint32(s.ExtCnt&3)<<3) << ctlExtRW
 	if s.MWValid {
-		putBytes(&o, SCRetPC0, s.MWPC)
-		putBytes(&o, SCRetInstr0, s.MWInstr)
+		p.RetPC = s.MWPC
+		p.RetInstr = s.MWInstr
 		if s.MWWen {
-			putNibbles(&o, SCWBData0, s.MWVal)
-			o[SCWBReg] = uint32(s.MWRd & 0xF)
+			p.WBData = s.MWVal
+			ctl |= uint32(s.MWRd&0xF) << ctlWBReg
 		}
 	}
-	o[SCWBCtl] = b2u(s.MWValid) | b2u(s.MWWen)<<1
+	ctl |= (b2u(s.MWValid) | b2u(s.MWWen)<<1) << ctlWBCtl
 	if s.ExcValid {
-		putBytes(&o, SCEPC0, s.EPC)
-		o[SCExcCause] = uint32(s.ExcCause & 7)
+		p.EPC = s.EPC
+		ctl |= uint32(s.ExcCause&7) << ctlExcCause
 	}
-	o[SCExcValid] = b2u(s.ExcValid)
-	o[SCHalted] = b2u(s.Halted)
+	ctl |= b2u(s.ExcValid)<<ctlExcValid | b2u(s.Halted)<<ctlHalted
+	p.Ctl = ctl
+	return p
+}
+
+// Vec expands the packed port into one value per signal category.
+func (p *Port) Vec() OutVec {
+	var o OutVec
+	putNibbles(&o, SCIAddr0, p.IAddr)
+	putNibbles(&o, SCDAddr0, p.DAddr)
+	putNibbles(&o, SCDWData0, p.DWData)
+	putBytes(&o, SCExtAddr0, p.ExtAddr)
+	putBytes(&o, SCExtWData0, p.ExtWData)
+	putBytes(&o, SCRetPC0, p.RetPC)
+	putBytes(&o, SCRetInstr0, p.RetInstr)
+	putNibbles(&o, SCWBData0, p.WBData)
+	putBytes(&o, SCEPC0, p.EPC)
+	for _, f := range ctlFields {
+		o[f.sc] = p.Ctl >> f.shift & (1<<scWidths[f.sc] - 1)
+	}
 	return o
+}
+
+// Outputs samples the registered output port one value per signal
+// category: Port expanded by Vec.
+func (s *State) Outputs() OutVec {
+	p := s.Port()
+	return p.Vec()
 }
 
 func putBytes(o *OutVec, base int, v uint32) {
@@ -251,4 +323,12 @@ func Diverge(a, b *OutVec) uint64 {
 		}
 	}
 	return m
+}
+
+// DivergePort is Diverge on two packed ports: bit i is set exactly when
+// SC i of a.Vec() and b.Vec() differ. Callers compare the ports first
+// (equal ports give 0), so only a divergence pays for the expansion.
+func DivergePort(a, b *Port) uint64 {
+	av, bv := a.Vec(), b.Vec()
+	return Diverge(&av, &bv)
 }

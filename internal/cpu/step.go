@@ -10,24 +10,32 @@ import (
 // latches the next state. Stages are evaluated back-to-front (WB, MEM, EX,
 // ID, IF) so that stall and flush signals flow naturally.
 //
+// The next state is written into *s in place, stage by stage, so a stage
+// reads a flop only while no earlier stage of the same cycle can have
+// rewritten it. Two values are read after their rewrite and are saved
+// first: the retiring MEM/WB latch (rewritten by MEM, read by EX
+// forwarding and the ID write-through bypass) and CycCnt (read by RDCYC in
+// EX; it is incremented last). Halted is never cleared, so testing the
+// updated flag covers the old one; the IF stage reads PC only when no
+// redirect rewrote it.
+//
 // Memory timing: tightly-coupled RAM is synchronous with single-cycle
 // access; external (peripheral) accesses occupy the memory stage for
 // ExtLatency cycles via the BIU state machine.
 func Step(s *State, bus mem.Bus) {
-	n := *s // next state; explicit assignments below override held values
-	n.CycCnt = s.CycCnt + 1
+	wb := retiring{valid: s.MWValid, wen: s.MWWen, rd: s.MWRd, val: s.MWVal}
 
 	// ---------------- WB stage ----------------
-	if s.MWValid {
-		n.RetCnt = s.RetCnt + 1
-		if s.MWWen && s.MWRd != 0 {
-			n.Regs[s.MWRd&0xF] = s.MWVal
+	if wb.valid {
+		s.RetCnt++
+		if wb.wen && wb.rd != 0 {
+			s.Regs[wb.rd&0xF] = wb.val
 		}
 	}
 
 	// ---------------- MEM stage ----------------
 	// Interface registers idle unless an access happens this cycle.
-	n.DRe, n.DWe = false, false
+	s.DRe, s.DWe = false, false
 
 	memDone := false
 	memExc := uint8(CauseNone)
@@ -37,7 +45,7 @@ func Step(s *State, bus mem.Bus) {
 		op := isa.Op(s.XMOp)
 		switch {
 		case isa.IsLoad(op) || isa.IsStore(op):
-			memDone, memExc, mwVal, mwWen = stepMemAccess(s, &n, bus, op)
+			memDone, memExc, mwVal, mwWen = stepMemAccess(s, bus, op)
 		default:
 			memDone = true
 			mwVal = s.XMAlu
@@ -49,18 +57,18 @@ func Step(s *State, bus mem.Bus) {
 
 	// MEM/WB latch.
 	if s.XMValid && memDone && memExc == CauseNone {
-		n.MWValid = true
-		n.MWRd = s.XMRd & 0xF
-		n.MWVal = mwVal
-		n.MWWen = mwWen
-		n.MWPC = s.XMPC
-		n.MWInstr = s.XMInstr
+		s.MWValid = true
+		s.MWRd = s.XMRd & 0xF
+		s.MWVal = mwVal
+		s.MWWen = mwWen
+		s.MWPC = s.XMPC
+		s.MWInstr = s.XMInstr
 	} else {
-		n.MWValid = false
+		s.MWValid = false
 	}
 	if memExc != CauseNone {
-		raise(&n, memExc, s.XMPC)
-		n.LSURe, n.LSUWe = false, false
+		raise(s, memExc, s.XMPC)
+		s.LSURe, s.LSUWe = false, false
 	}
 
 	canPushXM := !s.XMValid || memDone
@@ -73,12 +81,12 @@ func Step(s *State, bus mem.Bus) {
 	var haltReq bool
 	if s.DXValid {
 		op := isa.Op(s.DXOp)
-		a := fwdOperand(s, s.DXRs1, s.DXRs1Val)
-		b := fwdOperand(s, s.DXRs2, s.DXRs2Val)
+		a := fwdOperand(s, &wb, s.DXRs1, s.DXRs1Val)
+		b := fwdOperand(s, &wb, s.DXRs2, s.DXRs2Val)
 		// Refresh the operand capture latches every cycle the instruction
 		// waits in EX, so values forwarded from transient XM/MW producers
 		// are retained after the producers retire to the register file.
-		n.DXRs1Val, n.DXRs2Val = a, b
+		s.DXRs1Val, s.DXRs2Val = a, b
 
 		// A load sitting in MEM whose destination we need has no result
 		// yet; wait for it to reach the MEM/WB latch.
@@ -91,9 +99,9 @@ func Step(s *State, bus mem.Bus) {
 			case !s.MulBusy && exBlocked:
 				// Wait for the operand-producing load before latching.
 			case !s.MulBusy:
-				n.MulBusy = true
-				n.MulA, n.MulB = a, b
-				n.MulHiSel = op == isa.OpMULH
+				s.MulBusy = true
+				s.MulA, s.MulB = a, b
+				s.MulHiSel = op == isa.OpMULH
 			case canPushXM:
 				p := int64(int32(s.MulA)) * int64(int32(s.MulB))
 				if s.MulHiSel {
@@ -101,7 +109,7 @@ func Step(s *State, bus mem.Bus) {
 				} else {
 					xmAlu = uint32(p)
 				}
-				n.MulBusy = false
+				s.MulBusy = false
 				exComplete = true
 			}
 		case isa.OpDIV, isa.OpREM:
@@ -109,12 +117,12 @@ func Step(s *State, bus mem.Bus) {
 			case !s.DivBusy && exBlocked:
 				// Wait for the operand-producing load before latching.
 			case !s.DivBusy:
-				startDivide(&n, op, a, b)
+				startDivide(s, op, a, b)
 			case s.DivCnt > 0:
-				stepDivide(s, &n)
+				stepDivide(s)
 			case canPushXM:
 				xmAlu = finishDivide(s)
-				n.DivBusy = false
+				s.DivBusy = false
 				exComplete = true
 			}
 		default:
@@ -125,27 +133,27 @@ func Step(s *State, bus mem.Bus) {
 		}
 
 		if exComplete {
-			n.XMValid = true
-			n.XMOp = s.DXOp
-			n.XMRd = s.DXRd & 0xF
-			n.XMAlu = xmAlu
-			n.XMStore = xmStore
-			n.XMPC = s.DXPC
-			n.XMInstr = s.DXInstr
+			s.XMValid = true
+			s.XMOp = s.DXOp
+			s.XMRd = s.DXRd & 0xF
+			s.XMAlu = xmAlu
+			s.XMStore = xmStore
+			s.XMPC = s.DXPC
+			s.XMInstr = s.DXInstr
 			if isa.IsLoad(op) || isa.IsStore(op) {
-				latchLSU(&n, op, xmAlu, xmStore)
+				latchLSU(s, op, xmAlu, xmStore)
 			}
 			if haltReq {
-				n.Halted = true
+				s.Halted = true
 			}
 		}
 	}
 	if !exComplete && canPushXM {
-		n.XMValid = false // bubble
+		s.XMValid = false // bubble
 	}
 
 	if redirect {
-		n.PC = redirectPC &^ 3
+		s.PC = redirectPC &^ 3
 	}
 
 	// ---------------- ID stage ----------------
@@ -153,94 +161,99 @@ func Step(s *State, bus mem.Bus) {
 	issued := false
 	illegal := false
 	head := s.FQHead & 1
-	headValid := s.FQValid[head]
 	if dxFree {
 		switch {
-		case redirect || s.Halted || n.Halted:
-			n.DXValid = false
-		case headValid:
+		case redirect || s.Halted:
+			s.DXValid = false
+		case s.FQValid[head]:
 			in := isa.Decode(s.FQInstr[head])
 			if in.Op == isa.OpInvalid {
 				illegal = true
-				raise(&n, CauseIllegal, s.FQPC[head])
-				n.DXValid = false
+				raise(s, CauseIllegal, s.FQPC[head])
+				s.DXValid = false
 			} else {
 				issued = true
-				n.DXValid = true
-				n.DXOp = uint8(in.Op)
-				n.DXRd = in.Rd
-				n.DXRs1 = in.Rs1
-				n.DXRs2 = in.Rs2
-				n.DXImm = uint32(in.Imm)
-				n.DXPC = s.FQPC[head]
-				n.DXInstr = s.FQInstr[head]
-				n.DXRs1Val = idRegRead(s, in.Rs1)
-				n.DXRs2Val = idRegRead(s, in.Rs2)
+				s.DXValid = true
+				s.DXOp = uint8(in.Op)
+				s.DXRd = in.Rd
+				s.DXRs1 = in.Rs1
+				s.DXRs2 = in.Rs2
+				s.DXImm = uint32(in.Imm)
+				s.DXPC = s.FQPC[head]
+				s.DXInstr = s.FQInstr[head]
+				s.DXRs1Val = idRegRead(s, &wb, in.Rs1)
+				s.DXRs2Val = idRegRead(s, &wb, in.Rs2)
 			}
 		default:
-			n.DXValid = false
+			s.DXValid = false
 		}
 	}
 
 	// ---------------- IF stage (PFU + IMC) ----------------
-	n.IReqValid = false
+	s.IReqValid = false
 	if redirect || illegal {
-		n.FQValid[0], n.FQValid[1] = false, false
-		n.FQHead = 0
-		*s = n
-		return
-	}
-	if issued {
-		n.FQValid[head] = false
-		n.FQHead = (head ^ 1) & 1
-	}
-	if !s.Halted && !n.Halted {
-		if slot, ok := freeFQSlot(&n); ok {
+		s.FQValid[0], s.FQValid[1] = false, false
+		s.FQHead = 0
+	} else {
+		if issued {
+			s.FQValid[head] = false
+			s.FQHead = (head ^ 1) & 1
+		}
+		if slot, ok := freeFQSlot(s); ok && !s.Halted {
 			pc := s.PC
 			if pc&3 != 0 || pc >= mem.RAMBytes {
-				raise(&n, CauseIFetch, pc)
+				raise(s, CauseIFetch, pc)
 			} else {
 				w := bus.ReadWord(pc)
-				n.FQInstr[slot] = w
-				n.FQPC[slot] = pc
-				n.FQValid[slot] = true
-				n.IReqAddr = pc
-				n.IReqValid = true
-				n.IFData = w
-				n.PC = pc + 4
+				s.FQInstr[slot] = w
+				s.FQPC[slot] = pc
+				s.FQValid[slot] = true
+				s.IReqAddr = pc
+				s.IReqValid = true
+				s.IFData = w
+				s.PC = pc + 4
 			}
 		}
 	}
-	*s = n
+	s.CycCnt++
+}
+
+// retiring is the MEM/WB latch as it stood at the start of the cycle: the
+// instruction writing back this cycle, which EX forwards from and ID
+// bypasses after MEM has latched its successor.
+type retiring struct {
+	valid, wen bool
+	rd         uint8
+	val        uint32
 }
 
 // raise records the first exception (sticky) and halts the CPU.
-func raise(n *State, cause uint8, pc uint32) {
-	if !n.ExcValid {
-		n.ExcValid = true
-		n.ExcCause = cause & 7
-		n.EPC = pc
+func raise(s *State, cause uint8, pc uint32) {
+	if !s.ExcValid {
+		s.ExcValid = true
+		s.ExcCause = cause & 7
+		s.EPC = pc
 	}
-	n.Halted = true
+	s.Halted = true
 }
 
 // idRegRead reads a register in decode with a write-through bypass from the
 // retiring instruction, so a value written back this cycle is visible to an
 // instruction reading it in the same cycle.
-func idRegRead(s *State, r uint8) uint32 {
+func idRegRead(s *State, wb *retiring, r uint8) uint32 {
 	r &= 0xF
 	if r == 0 {
 		return 0
 	}
-	if s.MWValid && s.MWWen && s.MWRd == r {
-		return s.MWVal
+	if wb.valid && wb.wen && wb.rd == r {
+		return wb.val
 	}
 	return s.Regs[r]
 }
 
 // fwdOperand resolves an EX operand with forwarding from the MEM-stage ALU
 // result and the WB-stage value, falling back to the operand capture latch.
-func fwdOperand(s *State, r uint8, captured uint32) uint32 {
+func fwdOperand(s *State, wb *retiring, r uint8, captured uint32) uint32 {
 	r &= 0xF
 	if r == 0 {
 		return 0
@@ -249,8 +262,8 @@ func fwdOperand(s *State, r uint8, captured uint32) uint32 {
 		isa.WritesReg(isa.Op(s.XMOp)) {
 		return s.XMAlu
 	}
-	if s.MWValid && s.MWWen && s.MWRd == r {
-		return s.MWVal
+	if wb.valid && wb.wen && wb.rd == r {
+		return wb.val
 	}
 	return captured
 }
@@ -359,20 +372,20 @@ func execSimple(s *State, op isa.Op, a, b uint32) (alu, store uint32, redirect b
 
 // latchLSU captures an in-flight data access into the load/store unit:
 // the effective address, lane-aligned store data and byte enables.
-func latchLSU(n *State, op isa.Op, addr, store uint32) {
+func latchLSU(s *State, op isa.Op, addr, store uint32) {
 	size := isa.MemBytes(op)
 	off := addr & 3
-	n.LSUAddr = addr
-	n.LSUBE = uint8(((1 << size) - 1) << off & 0xF)
-	n.LSUData = store << (8 * off)
-	n.LSURe = isa.IsLoad(op)
-	n.LSUWe = isa.IsStore(op)
+	s.LSUAddr = addr
+	s.LSUBE = uint8(((1 << size) - 1) << off & 0xF)
+	s.LSUData = store << (8 * off)
+	s.LSURe = isa.IsLoad(op)
+	s.LSUWe = isa.IsStore(op)
 }
 
 // stepMemAccess performs the MEM-stage work of a load or store using the
 // LSU registers latched at EX completion. TCM accesses complete in one
 // cycle through the DMC; external accesses engage the BIU state machine.
-func stepMemAccess(s *State, n *State, bus mem.Bus, op isa.Op) (done bool, exc uint8, mwVal uint32, mwWen bool) {
+func stepMemAccess(s *State, bus mem.Bus, op isa.Op) (done bool, exc uint8, mwVal uint32, mwWen bool) {
 	addr := s.LSUAddr
 	size := isa.MemBytes(op)
 	if size > 1 && addr&(size-1) != 0 {
@@ -382,69 +395,69 @@ func stepMemAccess(s *State, n *State, bus mem.Bus, op isa.Op) (done bool, exc u
 	// activity, never MPU-checked.
 	if addr >= MMIOBase && addr < MMIOEnd {
 		if s.LSUWe {
-			n.MPUWrite(addr&^3, s.LSUData, mem.ByteLaneMask(uint32(s.LSUBE)))
+			s.MPUWrite(addr&^3, s.LSUData, mem.ByteLaneMask(uint32(s.LSUBE)))
 		} else {
 			mwVal = extractLoad(op, s.MPURead(addr&^3), addr)
 			mwWen = true
 		}
-		n.LSURe, n.LSUWe = false, false
+		s.LSURe, s.LSUWe = false, false
 		return true, CauseNone, mwVal, mwWen
 	}
 	if !s.MPUAllows(addr, s.LSUWe) {
 		return true, CauseMPU, 0, false
 	}
 	if addr >= mem.ExtBase {
-		return stepExtAccess(s, n, bus, op)
+		return stepExtAccess(s, bus, op)
 	}
 	if addr >= mem.RAMBytes {
 		return true, CauseBusFault, 0, false
 	}
 	// Tightly-coupled RAM through the DMC: synchronous single-cycle.
-	n.DAddr = addr
-	n.DBE = s.LSUBE
+	s.DAddr = addr
+	s.DBE = s.LSUBE
 	if s.LSUWe {
-		n.DWe = true
-		n.DWData = s.LSUData
+		s.DWe = true
+		s.DWData = s.LSUData
 		bus.WriteMasked(addr&^3, s.LSUData, mem.ByteLaneMask(uint32(s.LSUBE)))
 	} else {
-		n.DRe = true
+		s.DRe = true
 		w := bus.ReadWord(addr &^ 3)
-		n.DRData = w
+		s.DRData = w
 		mwVal = extractLoad(op, w, addr)
 		mwWen = true
 	}
-	n.LSURe, n.LSUWe = false, false
+	s.LSURe, s.LSUWe = false, false
 	return true, CauseNone, mwVal, mwWen
 }
 
 // stepExtAccess drives the BIU for a peripheral access: a setup cycle, wait
 // states, then the bus transaction on the final cycle.
-func stepExtAccess(s *State, n *State, bus mem.Bus, op isa.Op) (done bool, exc uint8, mwVal uint32, mwWen bool) {
+func stepExtAccess(s *State, bus mem.Bus, op isa.Op) (done bool, exc uint8, mwVal uint32, mwWen bool) {
 	switch {
 	case !s.ExtBusy:
-		n.ExtBusy = true
-		n.ExtCnt = ExtLatency - 1
-		n.ExtAddr = s.LSUAddr
-		n.ExtWData = s.LSUData
-		n.ExtBE = s.LSUBE
-		n.ExtRe = s.LSURe
-		n.ExtWe = s.LSUWe
+		s.ExtBusy = true
+		s.ExtCnt = ExtLatency - 1
+		s.ExtAddr = s.LSUAddr
+		s.ExtWData = s.LSUData
+		s.ExtBE = s.LSUBE
+		s.ExtRe = s.LSURe
+		s.ExtWe = s.LSUWe
 		return false, CauseNone, 0, false
 	case s.ExtCnt > 0:
-		n.ExtCnt = s.ExtCnt - 1
+		s.ExtCnt = s.ExtCnt - 1
 		return false, CauseNone, 0, false
 	default:
 		if s.ExtWe {
 			bus.WriteMasked(s.ExtAddr&^3, s.ExtWData, mem.ByteLaneMask(uint32(s.ExtBE)))
 		} else {
 			w := bus.ReadWord(s.ExtAddr &^ 3)
-			n.ExtRData = w
+			s.ExtRData = w
 			mwVal = extractLoad(op, w, s.ExtAddr)
 			mwWen = true
 		}
-		n.ExtBusy = false
-		n.ExtRe, n.ExtWe = false, false
-		n.LSURe, n.LSUWe = false, false
+		s.ExtBusy = false
+		s.ExtRe, s.ExtWe = false, false
+		s.LSURe, s.LSUWe = false, false
 		return true, CauseNone, mwVal, mwWen
 	}
 }
@@ -470,29 +483,29 @@ func extractLoad(op isa.Op, word, addr uint32) uint32 {
 // startDivide initialises the restoring divider. Divide-by-zero short
 // circuits with the RISC-V convention (quotient all-ones, remainder equal
 // to the dividend).
-func startDivide(n *State, op isa.Op, a, b uint32) {
-	n.DivBusy = true
-	n.DivIsRem = op == isa.OpREM
+func startDivide(s *State, op isa.Op, a, b uint32) {
+	s.DivBusy = true
+	s.DivIsRem = op == isa.OpREM
 	if b == 0 {
-		n.DivQuot = 0xFFFF_FFFF
-		n.DivRem = a
-		n.DivNegQ = false
-		n.DivNegR = false
-		n.DivCnt = 0
+		s.DivQuot = 0xFFFF_FFFF
+		s.DivRem = a
+		s.DivNegQ = false
+		s.DivNegR = false
+		s.DivCnt = 0
 		return
 	}
 	negA := int32(a) < 0
 	negB := int32(b) < 0
-	n.DivNegQ = negA != negB
-	n.DivNegR = negA
-	n.DivQuot = absU32(a)
-	n.DivDivisor = absU32(b)
-	n.DivRem = 0
-	n.DivCnt = 16
+	s.DivNegQ = negA != negB
+	s.DivNegR = negA
+	s.DivQuot = absU32(a)
+	s.DivDivisor = absU32(b)
+	s.DivRem = 0
+	s.DivCnt = 16
 }
 
 // stepDivide advances the restoring division by two bits.
-func stepDivide(s *State, n *State) {
+func stepDivide(s *State) {
 	rem, quot := s.DivRem, s.DivQuot
 	div := s.DivDivisor
 	for i := 0; i < 2; i++ {
@@ -503,9 +516,9 @@ func stepDivide(s *State, n *State) {
 			quot |= 1
 		}
 	}
-	n.DivRem = rem
-	n.DivQuot = quot
-	n.DivCnt = s.DivCnt - 1
+	s.DivRem = rem
+	s.DivQuot = quot
+	s.DivCnt = s.DivCnt - 1
 }
 
 // finishDivide applies the sign fixups and selects quotient or remainder.
@@ -532,12 +545,12 @@ func absU32(v uint32) uint32 {
 
 // freeFQSlot returns the fetch-queue slot a new instruction should fill,
 // honouring the head pointer so entries stay in order.
-func freeFQSlot(n *State) (int, bool) {
-	head := int(n.FQHead & 1)
-	if !n.FQValid[head] && !n.FQValid[head^1] {
+func freeFQSlot(s *State) (int, bool) {
+	head := int(s.FQHead & 1)
+	if !s.FQValid[head] && !s.FQValid[head^1] {
 		return head, true
 	}
-	if n.FQValid[head] && !n.FQValid[head^1] {
+	if s.FQValid[head] && !s.FQValid[head^1] {
 		return head ^ 1, true
 	}
 	return 0, false

@@ -176,15 +176,27 @@ type Config struct {
 }
 
 // Admission bounds. Plan allocates in proportion to the experiment count
-// and to Intervals (each group draws a permutation of the intervals), so
-// a config beyond either bound is refused with a ConfigError before
-// anything is allocated. Both sit far above the largest campaign the
-// tools define — `lockstep-experiments -scale full` is 171,990 experiments
-// over 64 intervals — and MaxExperiments admits the paper's 10 million
-// injections in one campaign.
+// and to Intervals (each group draws a permutation of the intervals), and
+// every kernel's golden trace in proportion to RunCycles, so a config
+// beyond any bound is refused with a ConfigError before anything is
+// allocated. All sit far above the largest campaign the tools define —
+// `lockstep-experiments -scale full` is 171,990 experiments over 64
+// intervals, and the longest shipped horizon is 48,000 cycles — and
+// MaxExperiments admits the paper's 10 million injections in one
+// campaign.
+//
+// MaxRunCycles is sized from the Golden.TraceBytes layout: per cycle a
+// 4-byte port id and a 4-byte fingerprint, at most one newly interned
+// 40-byte cpu.Port, at most two 12-byte read events (fetch and data) and
+// one 16-byte write event — 88 bytes worst case, 15–34 bytes measured on
+// the stock kernels. At 2^20 cycles a 13-kernel request (all goldens are
+// held at once) is at most 1.2 GB of trace by that bound; measured, it is
+// 0.28 GB of trace and 0.42 GB of live heap with the 17 RAM snapshots and
+// liveness tables per kernel.
 const (
 	MaxExperiments = 1 << 24
 	MaxIntervals   = 1 << 16
+	MaxRunCycles   = 1 << 20
 )
 
 // DefaultConfig is a laptop-scale campaign: full flop coverage, all three
@@ -223,6 +235,9 @@ func (c *Config) normalize() error {
 		c.Retries = 1
 	case c.Retries < 0:
 		c.Retries = 0
+	}
+	if c.RunCycles > MaxRunCycles {
+		return &ConfigError{Field: "RunCycles", Reason: fmt.Sprintf("%d cycles exceed the limit of %d", c.RunCycles, MaxRunCycles)}
 	}
 	if c.Resume && c.CheckpointPath == "" {
 		return &ConfigError{Field: "Resume", Reason: "requires CheckpointPath"}

@@ -175,11 +175,12 @@ func TestFullFlopCoverage(t *testing.T) {
 	}
 }
 
-// TestAdmissionBounds: a config beyond the experiment or interval bound
-// is refused with a ConfigError naming the field, by Total, Plan and
-// Fingerprint alike, before anything is allocated; an experiment count
-// whose product overflows int is refused, not wrapped; and the bounds
-// admit the largest campaign the tools define (-scale full).
+// TestAdmissionBounds: a config beyond the experiment, interval or
+// run-cycle bound is refused with a ConfigError naming the field, by
+// Total, Plan and Fingerprint alike, before anything is allocated; an
+// experiment count whose product overflows int is refused, not wrapped;
+// and the bounds admit the largest campaign the tools define (-scale
+// full) and each bound itself.
 func TestAdmissionBounds(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -190,6 +191,8 @@ func TestAdmissionBounds(t *testing.T) {
 		{"overflowing product", Config{InjectionsPerFlopKind: math.MaxInt / 2}, "InjectionsPerFlopKind"},
 		{"intervals", Config{Kernels: []string{"ttsprk"}, Intervals: 1_000_000_000_000}, "Intervals"},
 		{"one interval too many", Config{Kernels: []string{"ttsprk"}, Intervals: MaxIntervals + 1}, "Intervals"},
+		{"run cycles", Config{Kernels: []string{"ttsprk"}, RunCycles: 1_000_000_000_000}, "RunCycles"},
+		{"one cycle too many", Config{Kernels: []string{"ttsprk"}, RunCycles: MaxRunCycles + 1}, "RunCycles"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			check := func(what string, err error) {
@@ -222,6 +225,9 @@ func TestAdmissionBounds(t *testing.T) {
 	}
 	if _, err := (Config{Kernels: []string{"ttsprk"}, Intervals: MaxIntervals, FlopStride: cpu.NumFlops()}).Total(); err != nil {
 		t.Fatalf("MaxIntervals refused: %v", err)
+	}
+	if _, err := (Config{Kernels: []string{"ttsprk"}, RunCycles: MaxRunCycles}).Total(); err != nil {
+		t.Fatalf("MaxRunCycles refused: %v", err)
 	}
 }
 

@@ -106,7 +106,7 @@ func (r *Replayer) injectTMR(g *Golden, inj Injection, window int) Outcome {
 	if e > g.TotalCycles-1 {
 		e = g.TotalCycles - 1
 	}
-	out.Converged = g.tmrRecheck(e, inj)
+	out.Converged = r.tmrRecheck(g, e, inj)
 	return out
 }
 
@@ -115,22 +115,28 @@ func (r *Replayer) injectTMR(g *Golden, inj Injection, window int) Outcome {
 // whether a still-forced hard fault keeps the recovered core in lockstep
 // for TMRRecheckCycles. The memory image at recovery is the golden RAM —
 // the erring core is a compare-only monitor whose writes are dropped —
-// so restoring from the golden snapshots is exact.
-func (g *Golden) tmrRecheck(e int, inj Injection) bool {
-	sys, main, cyc := g.restore(e)
-	for ; cyc < e; cyc++ {
+// so restoring from the golden snapshots is exact. The system and both
+// cores are this Replayer's scratch, reused across experiments.
+func (r *Replayer) tmrRecheck(g *Golden, e int, inj Injection) bool {
+	s := &g.snaps[g.snapIndex(e)]
+	if r.tsys == nil {
+		r.tsys = mem.NewSystem()
+	}
+	r.tsys.RestoreRAM(s.ram)
+	*r.tsys.Ext() = s.ext
+	main, red := &r.tmain, &r.tred
+	main.State, main.Bus = s.cpu, r.tsys
+	for cyc := s.cycle; cyc < e; cyc++ {
 		main.StepCycle()
 	}
 	recoverTMR(&main.State)
-	red := main.Fork(mem.Monitor{Sys: sys})
+	red.State, red.Bus = main.State, mem.Monitor{Sys: r.tsys}
 	// The transient is over (soft faults never reach here): the forcer
 	// only re-forces a stuck-at.
 	f := newForcer(inj)
 	f.edge(&red.State, false)
 	for i := 0; i < TMRRecheckCycles; i++ {
-		om := main.State.Outputs()
-		or := red.State.Outputs()
-		if cpu.Diverge(&om, &or) != 0 {
+		if main.State.Port() != red.State.Port() {
 			return false
 		}
 		main.StepCycle()

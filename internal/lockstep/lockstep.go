@@ -16,6 +16,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"lockstep/internal/cpu"
 	"lockstep/internal/mem"
@@ -139,14 +140,19 @@ type Golden struct {
 	live  *liveness // static fault-equivalence pruning table (see liveness.go)
 }
 
-// TraceVersion identifies the golden-trace layout and the static-pruning
-// semantics built on top of it. It participates in the campaign
+// TraceVersion identifies the generation of the golden-trace analyses
+// whose results a campaign records: it changes when an outcome or the
+// static-pruning semantics can change. It participates in the campaign
 // checkpoint fingerprint (inject.Fingerprint): a checkpoint recorded
-// under a different trace/pruning generation refuses to resume rather
-// than silently mixing outcomes produced by different analyses.
+// under a different generation refuses to resume rather than silently
+// mixing outcomes produced by different analyses. The in-memory layout
+// alone does not bump it — the trace is never serialized, so a layout
+// change with byte-identical outcomes keeps old checkpoints resumable.
 //
 // Version history: 1 = flat per-cycle OutVec + uint64 fingerprint arrays;
-// 2 = interned OutVec table + uint32 fingerprints + liveness pruning.
+// 2 = interned output table + uint32 fingerprints + liveness pruning. The
+// table has since switched from OutVec to the packed cpu.Port with
+// byte-identical outcomes, so it is still 2.
 const TraceVersion = 2
 
 // goldenTrace is the per-cycle record of the fault-free execution that
@@ -154,26 +160,26 @@ const TraceVersion = 2
 // (golden) CPU's behaviour is identical across all experiments on a
 // kernel, so it is computed exactly once, at NewGolden time.
 //
-// Indexing: outAt(c) and fp[c] describe the golden CPU state at the end
+// Indexing: portAt(c) and fp[c] describe the golden CPU state at the end
 // of cycle c (index 0 is reset state), so outID and fp have
 // TotalCycles+1 entries.
 //
 // The layout is compacted relative to trace version 1 (see TraceVersion):
-// kernels are loops, so the per-cycle output vectors are highly periodic
-// — the 248-byte OutVecs are interned into outTab and the per-cycle
-// stream keeps only a 4-byte id, and the convergence-filter fingerprints
-// are truncated to 32 bits (the filter is followed by an exact state
-// confirm, so a narrower hash can cost a spurious confirm, never a wrong
-// outcome). Together these cut golden-trace memory by >3x on the stock
-// kernels with zero change to replay semantics.
+// kernels are loops, so the per-cycle output ports are highly periodic
+// — the ports are kept packed (40-byte cpu.Port rather than the 248-byte
+// per-SC OutVec) and interned into outTab, the per-cycle stream keeps
+// only a 4-byte id, and the convergence-filter fingerprints are truncated
+// to 32 bits (the filter is followed by an exact state confirm, so a
+// narrower hash can cost a spurious confirm, never a wrong outcome).
+// None of this changes replay semantics.
 type goldenTrace struct {
 	// outID[c] indexes outTab: the registered output port the checker
 	// would compare at cycle c. Replayed injections diff the faulty CPU's
-	// outputs against outAt(c) instead of re-simulating the main CPU.
+	// port against portAt(c) instead of re-simulating the main CPU.
 	outID []uint32
-	// outTab is the deduplicated output-vector table, in order of first
+	// outTab is the deduplicated output-port table, in order of first
 	// appearance (so the encoding and the rebuild are both deterministic).
-	outTab []cpu.OutVec
+	outTab []cpu.Port
 	// fp is the per-cycle truncated state fingerprint (low 32 bits of
 	// cpu.Fingerprint) used as the soft-fault convergence filter; the full
 	// cpu.State is kept only at snapshots, and candidate convergences are
@@ -188,10 +194,10 @@ type goldenTrace struct {
 	reads []mem.ReadEvent
 }
 
-// outAt returns the golden output vector at the end of cycle c. The
+// portAt returns the golden output port at the end of cycle c. The
 // pointer aliases the shared interned table and must not be written
 // through — every consumer only compares against it.
-func (t *goldenTrace) outAt(c int) *cpu.OutVec {
+func (t *goldenTrace) portAt(c int) *cpu.Port {
 	return &t.outTab[t.outID[c]]
 }
 
@@ -200,7 +206,7 @@ func (t *goldenTrace) outAt(c int) *cpu.OutVec {
 // gauge.
 func (g *Golden) TraceBytes() int64 {
 	return int64(len(g.trace.outID))*4 +
-		int64(len(g.trace.outTab))*int64(cpu.NumSC*4) +
+		int64(len(g.trace.outTab))*int64(unsafe.Sizeof(cpu.Port{})) +
 		int64(len(g.trace.fp))*4 +
 		int64(len(g.trace.writes))*mem.WriteEventBytes +
 		int64(len(g.trace.reads))*mem.ReadEventBytes
@@ -215,7 +221,7 @@ type snapshot struct {
 
 // NewGolden runs the kernel fault-free for totalCycles, snapshots the
 // full system state every snapEvery cycles (snapshot 0 is reset state),
-// and records the per-cycle golden trace (output vectors, state
+// and records the per-cycle golden trace (output ports, state
 // fingerprints, RAM write log, consumed read data) the replay injection
 // path runs against.
 func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) {
@@ -229,16 +235,16 @@ func NewGolden(k *workload.Kernel, totalCycles, snapEvery int) (*Golden, error) 
 	g := &Golden{Kernel: k, Entry: entry, TotalCycles: totalCycles}
 	g.trace.outID = make([]uint32, totalCycles+1)
 	g.trace.fp = make([]uint32, totalCycles+1)
-	// intern deduplicates output vectors into outTab; the map is build
+	// intern deduplicates output ports into outTab; the map is build
 	// scratch, dropped when NewGolden returns.
-	intern := make(map[cpu.OutVec]uint32)
+	intern := make(map[cpu.Port]uint32)
 	record := func(c *cpu.CPU, cyc int) {
-		ov := c.State.Outputs()
-		id, ok := intern[ov]
+		p := c.State.Port()
+		id, ok := intern[p]
 		if !ok {
 			id = uint32(len(g.trace.outTab))
-			g.trace.outTab = append(g.trace.outTab, ov)
-			intern[ov] = id
+			g.trace.outTab = append(g.trace.outTab, p)
+			intern[p] = id
 		}
 		g.trace.outID[cyc] = id
 		g.trace.fp[cyc] = uint32(cpu.Fingerprint(&c.State))

@@ -25,11 +25,12 @@ func countReplayRestore() {
 // Replayer is the per-worker scratch state of the golden-trace injection
 // path: one mem.ReplayBus carrying the faulty CPU's memory image and a
 // second (vbus) for reconstructing exact golden states during the
-// soft-fault convergence check. All buffers are reused across
-// experiments, so the steady-state hot path performs zero heap
-// allocations; the RAM-image repositioning between experiments on the
-// same Golden is incremental (word-sized deltas from the golden write
-// log) rather than a full 256 KiB copy.
+// soft-fault convergence check, plus the live system the TMR recovery
+// recheck runs on. All buffers are reused across experiments, so the
+// steady-state hot path performs zero heap allocations in every mode; the
+// RAM-image repositioning between experiments on the same Golden is
+// incremental (word-sized deltas from the golden write log) rather than a
+// full 256 KiB copy.
 //
 // A Replayer is NOT safe for concurrent use — give each campaign worker
 // its own. The Golden it runs against is immutable and shared.
@@ -45,6 +46,13 @@ type Replayer struct {
 	red   cpu.CPU // the faulty CPU under test
 	ghost cpu.CPU // one-cycle golden lookahead for the soft recovery bit
 	vcpu  cpu.CPU // golden reconstruction for the convergence confirm
+
+	// TMR forward-recovery recheck (see tmrRecheck): a live memory
+	// system, allocated on the first detected hard fault, and the
+	// recovered main and faulty cores.
+	tsys  *mem.System
+	tmain cpu.CPU
+	tred  cpu.CPU
 }
 
 // NewReplayer returns an empty Replayer. RAM-image buffers are allocated
@@ -68,7 +76,7 @@ func NewReplayer() *Replayer { return &Replayer{} }
 //     External-region reads are the pure mem.SensorValue pattern in both.
 //   - Checker compare: the legacy path diffs main vs redundant outputs at
 //     the top of every cycle; the golden trace holds the main CPU's
-//     output vector for every cycle, so the diff runs against outAt(cyc).
+//     output port for every cycle, so the diff runs against portAt(cyc).
 //   - Post-fault stepping: in the legacy path the redundant CPU is a bus
 //     monitor — its reads see the main CPU's memory image after the full
 //     cycle, which is precisely the AdvanceTo(cyc+1)-then-step image, and
@@ -152,21 +160,20 @@ func (r *Replayer) injectHorizon(g *Golden, inj Injection, window, horizon, shif
 		f.edge(&red.State, recoverBit)
 	}
 	for cyc := inj.Cycle; cyc < horizon; cyc++ {
-		or := red.State.Outputs()
-		// Whole-vector equality (a memcmp) gates the per-SC reduction:
-		// Diverge sets bit i exactly when element i differs, so the DSR is
-		// nonzero precisely when the vectors are unequal, and the
-		// fault-free common case skips the 62-category loop entirely.
-		if or != *g.trace.outAt(cyc) {
-			dsr := cpu.Diverge(g.trace.outAt(cyc), &or)
+		pr := red.State.Port()
+		// Packed-port equality (40 bytes) gates the per-SC reduction: Vec
+		// is injective, so the ports differ exactly when the checker's
+		// vectors do, and DivergePort expands to per-SC bits only then.
+		if pr != *g.trace.portAt(cyc) {
+			dsr := cpu.DivergePort(g.trace.portAt(cyc), &pr)
 			// Error detected; the DSR keeps OR-accumulating per-SC
 			// divergences during the checker stop window.
 			detect := cyc + shift
 			for w := 1; w < window && cyc+1 < horizon; w++ {
 				stepFaulty(cyc)
 				cyc++
-				or = red.State.Outputs()
-				dsr |= cpu.Diverge(g.trace.outAt(cyc), &or)
+				pr = red.State.Port()
+				dsr |= cpu.DivergePort(g.trace.portAt(cyc), &pr)
 			}
 			recordDSR("inject", dsr)
 			return Outcome{Detected: true, DetectCycle: detect, DSR: dsr}

@@ -155,7 +155,7 @@ func (b *replayCheckBus) WriteMasked(addr, data, mask uint32) {
 // TestGoldenTraceSelfCheck replays the fault-free execution through a
 // ReplayBus and asserts it reproduces the golden run exactly: the same
 // read stream (cycle, address and data of every bus read), the same
-// per-cycle output vectors and state fingerprints. This is the
+// per-cycle output ports and state fingerprints. This is the
 // end-to-end proof that AdvanceTo-then-step serves byte-identical memory
 // inputs, which the injection replay path's prefix and convergence
 // verification both rely on.
@@ -174,8 +174,8 @@ func TestGoldenTraceSelfCheck(t *testing.T) {
 			bus.AdvanceTo(cyc + 1)
 			check.cycle = cyc + 1
 			c.StepCycle()
-			out := c.State.Outputs()
-			if d := cpu.Diverge(g.trace.outAt(cyc+1), &out); d != 0 {
+			p := c.State.Port()
+			if d := cpu.DivergePort(g.trace.portAt(cyc+1), &p); d != 0 {
 				t.Fatalf("%s: replayed outputs diverge from trace at cycle %d (dsr %#x)", kn, cyc+1, d)
 			}
 			if fp := uint32(cpu.Fingerprint(&c.State)); fp != g.trace.fp[cyc+1] {
@@ -189,7 +189,7 @@ func TestGoldenTraceSelfCheck(t *testing.T) {
 }
 
 // TestTraceCompaction checks the compaction claim the campaign relies on:
-// on recorded golden runs the in-memory trace (interned output vectors,
+// on recorded golden runs the in-memory trace (interned packed ports,
 // 4-byte ids and fingerprints) is at least 3x smaller than the version-1
 // flat layout (one OutVec and one 8-byte fingerprint per cycle).
 func TestTraceCompaction(t *testing.T) {
@@ -265,5 +265,58 @@ func TestInjectReplayZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state InjectW allocates %.2f times per run, want 0", avg)
+	}
+}
+
+// TestInjectModeZeroAlloc extends the zero-allocation guard to every mode
+// the campaign runs on the fast path: slip:4, TMR with a detected soft
+// fault (recovery by construction), and TMR with a detected stuck-at,
+// which runs the live forward-recovery recheck. After one warm-up
+// experiment of each kind, a steady-state InjectMode allocates nothing.
+// (Skipped under -race, whose instrumentation allocates.)
+func TestInjectModeZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	g, err := NewGolden(workload.ByName("puwmod"), 3000, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slip, err := ParseMode("slip:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmr := Mode{Kind: ModeTMR}
+	// find returns the first injection of the given kind the mode detects.
+	find := func(mode Mode, kind FaultKind) Injection {
+		rep := NewReplayer()
+		for flop := 0; flop < cpu.NumFlops(); flop++ {
+			inj := Injection{Flop: flop, Kind: kind, Cycle: 700 + flop%1500}
+			if rep.InjectMode(g, inj, mode, StopLatency).Detected {
+				return inj
+			}
+		}
+		t.Fatalf("no detected %v injection under %v", kind, mode)
+		return Injection{}
+	}
+	for _, tc := range []struct {
+		name string
+		mode Mode
+		inj  Injection
+	}{
+		{"slip:4", slip, find(slip, SoftFlip)},
+		{"tmr soft", tmr, find(tmr, SoftFlip)},
+		{"tmr stuck-at recheck", tmr, find(tmr, Stuck1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := NewReplayer()
+			rep.InjectMode(g, tc.inj, tc.mode, StopLatency)
+			avg := testing.AllocsPerRun(50, func() {
+				rep.InjectMode(g, tc.inj, tc.mode, StopLatency)
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state InjectMode(%v) allocates %.2f times per run, want 0", tc.mode, avg)
+			}
+		})
 	}
 }

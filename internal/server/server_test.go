@@ -183,15 +183,17 @@ func TestEndpointErrors(t *testing.T) {
 
 // TestCampaignAdmissionBounds is the regression test for a submission
 // that passed validation and then panicked the job goroutine in
-// Config.Plan (makeslice: cap out of range), killing the whole process:
-// an experiment count or interval count beyond inject's admission bounds
-// must come back as 400 invalid_config naming the field, and the server
-// must keep serving.
+// Config.Plan (makeslice: cap out of range), killing the whole process —
+// or, for run_cycles, ran the job out of memory building the golden
+// trace: an experiment count, interval count or run-cycle count beyond
+// inject's admission bounds must come back as 400 invalid_config naming
+// the field, and the server must keep serving.
 func TestCampaignAdmissionBounds(t *testing.T) {
 	s := newTestServer(t, nil)
 	for _, tc := range []struct{ body, field string }{
 		{`{"kernels":["ttsprk"],"injections_per_flop_kind":4000000000000}`, "InjectionsPerFlopKind"},
 		{`{"kernels":["ttsprk"],"intervals":1000000000000}`, "Intervals"},
+		{`{"kernels":["ttsprk"],"run_cycles":1000000000000}`, "RunCycles"},
 	} {
 		code, body := do(t, s, "POST", "/v1/campaigns", tc.body)
 		if code != http.StatusBadRequest {
